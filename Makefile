@@ -24,32 +24,30 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# Short fuzz budgets over the two untrusted input surfaces (trace files
-# and fault-profile JSON) plus two equivalence properties: the calendar
-# queue must pop in exactly the reference heap's (time, seq) order on
-# adversarial schedules, and a run snapshotted at an arbitrary event
-# offset and restored must finish bit-identically to an uninterrupted
-# run. Go runs one fuzz target per invocation.
+# Short fuzz budgets over three untrusted input surfaces — trace files,
+# fault-profile JSON, and the gob cell payloads that arrive from remote
+# daemons and journals (decoding must never panic and must refuse a
+# payload tagged for another slot type) — plus one equivalence
+# property: the calendar queue must pop in exactly the reference heap's
+# (time, seq) order on adversarial schedules. Go runs one fuzz target
+# per invocation.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzParseProfile$$' -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzCalendarQueueEquivalence$$' -fuzztime 10s
-	$(GO) test . -run '^$$' -fuzz '^FuzzSnapshotResume$$' -fuzztime 10s
+	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzDecodeSlot$$' -fuzztime 10s
 
 # Three passes over every benchmark at Quick scale; benchjson keeps the
 # fastest run of each, and the parsed numbers land in BENCH_quick.json
 # for cross-commit comparison. The fault and degraded drivers report
 # separately in BENCH_faults.json — at -benchtime 5x, because those two
 # benchmarks are cheap (~100-200 ms/op) and single-iteration samples on
-# this host jitter more than the compare gate tolerates — and the fleet
-# warm-vs-replay pair in
-# BENCH_fleet.json. Every pass also appends a timestamped record to
-# BENCH_history.jsonl, so the trajectory across runs survives the
-# snapshot files being overwritten.
+# this host jitter more than the compare gate tolerates. Every pass also
+# appends a timestamped record to BENCH_history.jsonl, so the trajectory
+# across runs survives the snapshot files being overwritten.
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x -count 3 -run '^$$' . | $(GO) run ./cmd/benchjson -o BENCH_quick.json -history BENCH_history.jsonl
 	$(GO) test -bench '^Benchmark(Faults|Degraded)$$' -benchmem -benchtime 5x -count 3 -run '^$$' . | $(GO) run ./cmd/benchjson -o BENCH_faults.json -history BENCH_history.jsonl
-	$(GO) test ./internal/fleet -bench '^BenchmarkFleetDegraded' -benchtime 3x -run '^$$' | $(GO) run ./cmd/benchjson -o BENCH_fleet.json -history BENCH_history.jsonl
 
 # Re-run the full benchmark pass (best of three, like bench) and diff
 # simulator-cost metrics against the committed baselines; fails on a
@@ -58,25 +56,10 @@ bench:
 # repeated identical runs on a single-CPU virtualized host swing
 # 10-20% between minute-apart invocations (allocs pinned at +-0.0%
 # throughout), and a gate that cries wolf on idle noise teaches people
-# to ignore it. See cmd/benchjson. The fleet pass gates differently:
-# warm dispatch (phase payloads injected) must beat replay dispatch
-# (earlier phases re-simulated in every fault cell) by at least 1.5x
-# wall clock on the degraded sweep.
+# to ignore it. See cmd/benchjson.
 bench-compare:
 	$(GO) test -bench . -benchmem -benchtime 1x -count 3 -run '^$$' . | $(GO) run ./cmd/benchjson -compare BENCH_quick.json -time-threshold 25
 	$(GO) test -bench '^Benchmark(Faults|Degraded)$$' -benchmem -benchtime 5x -count 3 -run '^$$' . | $(GO) run ./cmd/benchjson -compare BENCH_faults.json -time-threshold 25
-	@set -e; \
-	out=$$($(GO) test ./internal/fleet -bench '^BenchmarkFleetDegraded' -benchtime 3x -run '^$$'); \
-	printf '%s\n' "$$out"; \
-	printf '%s\n' "$$out" | awk ' \
-		$$1 ~ /^BenchmarkFleetDegradedWarm/ {warm = $$3} \
-		$$1 ~ /^BenchmarkFleetDegradedReplay/ {replay = $$3} \
-		END { \
-			if (warm == 0 || replay == 0) { print "bench-compare: fleet warm/replay benchmarks missing"; exit 1 } \
-			ratio = replay / warm; \
-			printf "bench-compare: fleet warm-start speedup %.2fx (replay %.0f ns/op vs warm %.0f ns/op)\n", ratio, replay, warm; \
-			if (ratio < 1.5) { print "bench-compare: warm-start speedup below the 1.5x gate"; exit 1 } \
-		}'
 
 # The flat-heap gate for long-horizon runs: BenchmarkLongRun replays the
 # longrun source workload at 1x and 10x the simulated makespan and fails
@@ -90,24 +73,18 @@ bench-long:
 profile:
 	$(GO) run ./cmd/diskthru -experiment table2 -quick -cpuprofile cpu.prof -memprofile mem.prof
 
-# Crash-injection smoke test, two rounds with real processes and real
-# SIGKILLs. Round one: boot a journal-enabled diskthrud, submit table2,
-# SIGKILL the daemon while cell payloads are still streaming into the
-# journal, restart it on the same -state-dir, and require the recovered
-# job's output to diff byte-identically against a fresh single-process
-# `diskthru -j 1` run. Round two: boot a daemon with intra-cell
-# snapshots on, submit one long degraded cell, SIGKILL as soon as the
-# first snapshot record lands (so the kill is mid-cell, with no
-# completed-cell checkpoint to lean on), restart, and require the
-# recovered job to resume from the journaled snapshot (a verified
-# restore in /metrics) with a payload byte-identical to a cold rerun.
+# Crash-injection smoke test with real processes and a real SIGKILL:
+# boot a journal-enabled diskthrud, submit table2, SIGKILL the daemon
+# while cell payloads are still streaming into the journal, restart it
+# on the same -state-dir, and require the recovered job's output to diff
+# byte-identically against a fresh single-process `diskthru -j 1` run.
 # The in-process variants (torn mid-append frames at every byte offset,
-# hand-crafted snap journals) run in the test suite; this exercises the
-# same paths end to end.
+# hand-crafted journals) run in the test suite; this exercises the same
+# path end to end.
 crash-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); \
-	trap 'kill -9 $$pid $$pid2 $$pid3 $$pid4 2>/dev/null || true; rm -rf $$tmp' EXIT; \
+	trap 'kill -9 $$pid $$pid2 2>/dev/null || true; rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/diskthrud ./cmd/diskthrud; \
 	$(GO) build -o $$tmp/diskthru ./cmd/diskthru; \
 	$(GO) build -o $$tmp/diskthru-client ./cmd/diskthru-client; \
@@ -146,45 +123,7 @@ crash-smoke:
 		cat $$tmp/d2.log; exit 1; }; \
 	replayed=$$($$tmp/diskthru-client -addr "http://$$(cat $$tmp/a2)" metrics \
 		| awk '$$1 == "serve_cells_replayed_total" {print $$2}'); \
-	echo "crash-smoke: OK (byte-identical after SIGKILL; $$replayed cells replayed from journal)"; \
-	$$tmp/diskthrud -addr 127.0.0.1:0 -addr-file $$tmp/a3 \
-		-state-dir $$tmp/state2 -snapshot-events 100000 -cache-bytes -1 \
-		>$$tmp/d3.log 2>&1 & pid3=$$!; \
-	for i in $$(seq 1 100); do [ -s $$tmp/a3 ] && break; sleep 0.1; done; \
-	[ -s $$tmp/a3 ] || { \
-		echo "crash-smoke: snapshot daemon never wrote its address"; \
-		cat $$tmp/d3.log; exit 1; }; \
-	cj=$$($$tmp/diskthru-client -addr "http://$$(cat $$tmp/a3)" \
-		submit -experiment degraded -quick -cell 0:0 -syn-requests 1000000 -key crash-smoke-cell); \
-	snapped=; \
-	for i in $$(seq 1 600); do \
-		snapped=$$($$tmp/diskthru-client -addr "http://$$(cat $$tmp/a3)" metrics \
-			| awk '$$1 == "serve_snapshots_taken_total" && $$2 >= 1 {print "yes"}'); \
-		[ "$$snapped" = yes ] && break; sleep 0.02; done; \
-	[ "$$snapped" = yes ] || { \
-		echo "crash-smoke: no intra-cell snapshot ever hit the journal"; \
-		cat $$tmp/d3.log; exit 1; }; \
-	kill -9 $$pid3; wait $$pid3 2>/dev/null || true; \
-	$$tmp/diskthrud -addr 127.0.0.1:0 -addr-file $$tmp/a4 \
-		-state-dir $$tmp/state2 -snapshot-events 100000 -cache-bytes -1 \
-		>$$tmp/d4.log 2>&1 & pid4=$$!; \
-	for i in $$(seq 1 100); do [ -s $$tmp/a4 ] && break; sleep 0.1; done; \
-	[ -s $$tmp/a4 ] || { \
-		echo "crash-smoke: restarted snapshot daemon never wrote its address"; \
-		cat $$tmp/d4.log; exit 1; }; \
-	$$tmp/diskthru-client -addr "http://$$(cat $$tmp/a4)" \
-		wait "$$cj" >$$tmp/cell-resumed.out; \
-	$$tmp/diskthru-client -addr "http://$$(cat $$tmp/a4)" metrics \
-		| grep '^serve_snapshot_restores_total{result="verified"} 1' >/dev/null || { \
-		echo "crash-smoke: restarted daemon did not resume from the intra-cell snapshot"; \
-		cat $$tmp/d4.log; exit 1; }; \
-	$$tmp/diskthru-client -addr "http://$$(cat $$tmp/a4)" \
-		run -experiment degraded -quick -cell 0:0 -syn-requests 1000000 \
-		-key crash-smoke-cell-cold >$$tmp/cell-cold.out; \
-	diff -u $$tmp/cell-cold.out $$tmp/cell-resumed.out || { \
-		echo "crash-smoke: snapshot-resumed cell payload differs from a cold run"; \
-		cat $$tmp/d4.log; exit 1; }; \
-	echo "crash-smoke: OK (mid-cell SIGKILL resumed from journaled snapshot, byte-identical)"
+	echo "crash-smoke: OK (byte-identical after SIGKILL; $$replayed cells replayed from journal)"
 
 # Scrape a live test daemon's /metrics through HTTP and validate every
 # family with the exposition parser and linter (naming conventions,

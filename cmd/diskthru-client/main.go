@@ -6,7 +6,7 @@
 //
 //	diskthru-client [-addr http://127.0.0.1:7070] <command> [args]
 //
-//	submit -experiment fig1 [-quick] [-j N] [-seed S] [-timeout 30s] [-format csv] [-key K] [-cell P:I]
+//	submit -experiment fig1 [-quick] [-j N] [-seed S] [-timeout 30s] [-format csv] [-key K] [-cell I]
 //	status <job-id>          print the job's JSON view
 //	result <job-id>          print a finished job's rendered result
 //	wait   <job-id>          poll until terminal; print the result
@@ -190,7 +190,7 @@ func (c client) submit(args []string) view {
 		timeout    = fs.Duration("timeout", 0, "job deadline (0 = server default)")
 		format     = fs.String("format", "", "result format: text | csv")
 		key        = fs.String("key", "", "idempotency key; resubmitting the same key admits at most one job (empty = auto-generated)")
-		cell       = fs.String("cell", "", "run a single decomposition cell, as phase:index (e.g. 0:2); the result is the cell's opaque payload in base64")
+		cell       = fs.Int("cell", -1, "run a single decomposition cell by index (e.g. 2); the result is the cell's opaque payload in base64 (-1 = the whole experiment)")
 		synReqs    = fs.Int("syn-requests", 0, "override synthetic trace length (0 = scale default)")
 	)
 	_ = fs.Parse(args)
@@ -219,12 +219,8 @@ func (c client) submit(args []string) view {
 	if *format != "" {
 		spec["format"] = *format
 	}
-	if *cell != "" {
-		var phase, index int
-		if n, err := fmt.Sscanf(*cell, "%d:%d", &phase, &index); err != nil || n != 2 {
-			fail("diskthru-client: bad -cell %q (want phase:index, e.g. 0:2)", *cell)
-		}
-		spec["cell"] = map[string]int{"phase": phase, "index": index}
+	if *cell >= 0 {
+		spec["cell"] = map[string]int{"index": *cell}
 	}
 	if *synReqs > 0 {
 		spec["syn_requests"] = *synReqs

@@ -15,11 +15,9 @@
 // their cells requeued to survivors, and with -no-local-fallback unset
 // a fleet that loses every daemon finishes the sweep locally.
 //
-// Multi-phase experiments dispatch warm by default: once a phase's
-// cells are all retained, their payloads ride along with every
-// later-phase dispatch, so daemons inject the earlier phases instead
-// of re-simulating them (byte-identical either way; -no-phase-inject
-// restores the replay behavior for A/B measurement).
+// Every experiment is one round of independent cells: each cell is
+// dispatched once (plus failover retries) and needs nothing from any
+// other cell, so no dispatch waits on an earlier one's result.
 //
 // With -state-dir the coordinator journals every accepted cell payload;
 // if the sweep is killed, rerunning with -state-dir and -resume injects
@@ -60,7 +58,6 @@ func run() int {
 		attempts  = flag.Int("max-attempts", 0, "remote dispatches per cell before giving up on the fleet (0 = 8)")
 		noLocal   = flag.Bool("no-local-fallback", false, "fail the sweep instead of running exhausted cells locally")
 		cellTime  = flag.Duration("cell-timeout", 0, "bound one remote cell attempt (0 = none)")
-		noInject  = flag.Bool("no-phase-inject", false, "do not attach earlier-phase payloads to later-phase dispatches; daemons re-simulate prior phases (warm dispatch is the default)")
 		stateDir  = flag.String("state-dir", "", "journal accepted cell payloads under this directory so a killed sweep can resume (empty = off)")
 		resume    = flag.Bool("resume", false, "reload the journal in -state-dir and skip cells it already holds (requires -state-dir)")
 		timeout   = flag.Duration("timeout", 0, "abort the whole sweep after this long (0 = no limit)")
@@ -91,15 +88,14 @@ func run() int {
 	}
 
 	coord, err := fleet.New(fleet.Config{
-		Endpoints:             endpoints,
-		Window:                *window,
-		MaxAttempts:           *attempts,
-		DisableLocalFallback:  *noLocal,
-		CellTimeout:           *cellTime,
-		DisablePhaseInjection: *noInject,
-		StateDir:              *stateDir,
-		Resume:                *resume,
-		Logger:                logger,
+		Endpoints:            endpoints,
+		Window:               *window,
+		MaxAttempts:          *attempts,
+		DisableLocalFallback: *noLocal,
+		CellTimeout:          *cellTime,
+		StateDir:             *stateDir,
+		Resume:               *resume,
+		Logger:               logger,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "diskthru-fleet:", err)

@@ -198,26 +198,6 @@ type Config struct {
 	// (degraded-mode striping). Requires an unmirrored array; zero
 	// (default) disables the watchdog.
 	RequestTimeoutSeconds float64
-	// SnapshotEvery, when positive with OnSnapshot set, emits an
-	// intra-run checkpoint (internal/snapshot) roughly every this many
-	// simulation events — at the event-loop boundaries the progress hook
-	// already visits, so the hot path pays nothing extra between
-	// boundaries. A pure observer: results are byte-identical with
-	// snapshots on or off.
-	SnapshotEvery uint64
-	// OnSnapshot receives each encoded checkpoint. The job daemon
-	// journals them so a SIGKILLed long cell resumes mid-flight.
-	OnSnapshot func(state []byte)
-	// Resume, when non-nil, is an encoded checkpoint from an identical
-	// earlier run of this exact (workload, config) pair. The replay
-	// rebuilds the rig, fast-forwards to the checkpoint's event offset,
-	// and verifies the clock and the multi-layer state digest
-	// bit-for-bit before draining the rest; any mismatch aborts with
-	// ErrSnapshotResume and no Result. The final Result is byte-identical
-	// to an uninterrupted run by construction — the same events fire in
-	// the same order; the checkpoint only pins where to stop trusting
-	// and start verifying.
-	Resume []byte
 }
 
 // DefaultConfig returns the paper's Table 1 configuration with the Segm

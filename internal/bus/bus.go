@@ -4,10 +4,7 @@
 // caches and host memory contend here in FIFO order.
 package bus
 
-import (
-	"diskthru/internal/sim"
-	"diskthru/internal/snapshot"
-)
+import "diskthru/internal/sim"
 
 // Config describes an interconnect.
 type Config struct {
@@ -66,10 +63,3 @@ func (b *Bus) BusySeconds() float64 { return b.res.Busy }
 
 // Transfers reports completed transfer count.
 func (b *Bus) Transfers() uint64 { return b.res.Served }
-
-// DigestState folds the bus counters into a snapshot digest.
-func (b *Bus) DigestState(h *snapshot.Hash) {
-	h.Add(b.Bytes)
-	h.AddFloat(b.res.Busy)
-	h.Add(b.res.Served)
-}

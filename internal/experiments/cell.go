@@ -5,27 +5,25 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"diskthru"
 )
 
 // The fleet coordinator (internal/fleet) shards an experiment across
 // many daemons at the granularity the parallel runner already uses: one
-// cell is one independent simulation replay. This file exports that
-// decomposition without exposing the runner itself.
+// cell is one independent unit of simulation writing one result slot.
+// This file exports that decomposition without exposing the runner
+// itself.
 //
 // A cell is addressed by a CellID that is deterministic for a given
-// (experiment, Options) pair: Phase is the ordinal of the runner.wait
-// call that executes it (drivers call wait in a fixed order), Index the
-// cell's position within that phase. Cells within a phase are
-// independent by the runner's contract; cells of a later phase may
-// depend on every result of earlier phases (the degraded driver plans
-// its fault schedule from the healthy phase's makespans), so a remote
-// executor replays all earlier phases locally before running the
-// target cell. That re-execution is the price of result-dependent
-// plans; single-phase experiments — every sweep the paper's tables and
-// figures need — pay nothing.
+// (experiment, Options) pair: its position in the order the driver
+// enumerated its cells. Every driver is single-phase — it enumerates
+// all cells, waits once, then assembles the table — so any cell can
+// run anywhere with nothing but the experiment name, the options and
+// its index. A cell whose configuration depends on another replay's
+// result runs both replays itself (the degraded driver derives its
+// disk-death time from the healthy replay inside one cell) and returns
+// both results in one slot.
 //
 // Remote results travel as gob: float64 round-trips bit-exact, so a
 // table assembled from remotely-executed cells is byte-identical to a
@@ -33,15 +31,12 @@ import (
 
 // CellID names one simulation cell of one experiment deterministically.
 type CellID struct {
-	// Phase is the ordinal of the driver's runner phase (0 for every
-	// single-phase driver).
-	Phase int `json:"phase"`
-	// Index is the cell's position within the phase, in the order the
-	// driver enumerated them.
+	// Index is the cell's position in the order the driver enumerated
+	// its cells.
 	Index int `json:"index"`
 }
 
-func (id CellID) String() string { return fmt.Sprintf("p%d.c%d", id.Phase, id.Index) }
+func (id CellID) String() string { return fmt.Sprintf("c%d", id.Index) }
 
 // CellExec dispatches one cell on behalf of RunWithCellExec. run
 // executes the cell locally on the calling goroutine and returns the
@@ -56,34 +51,14 @@ func (id CellID) String() string { return fmt.Sprintf("p%d.c%d", id.Phase, id.In
 // CellExec returns nil.
 type CellExec func(id CellID, run func() ([]byte, error), inject func(payload []byte) error) error
 
-// cellSession carries per-invocation cell state across the runners a
-// driver creates. Exactly one of target (RunCell) and exec
-// (RunWithCellExec) is set.
+// cellSession carries per-invocation cell state into the runner a
+// driver creates. exec routes cells; with target set (RunCellExec)
+// only that cell is routed and its payload captured.
 type cellSession struct {
-	phases  int // wait() calls seen so far; the next phase's ordinal
-	target  *CellID
-	payload []byte
 	exec    CellExec
-	// prior maps earlier-phase cells to payloads a previous execution
-	// already produced (RunCellWarm): instead of re-simulating those
-	// phases to reconstruct the plan the target phase depends on, the
-	// runner injects them — the same decode path RunWithCellExec uses,
-	// so the plan is byte-identical by construction. Read-only during
-	// the run.
-	prior map[CellID][]byte
-	// injected and simulated count earlier-phase slot cells filled from
-	// prior versus locally re-simulated — the daemon's redundancy
-	// metrics. Atomics: earlier phases run on the worker pool.
-	injected  atomic.Int64
-	simulated atomic.Int64
-}
-
-// nextPhase hands out phase ordinals in wait-call order. Drivers call
-// wait sequentially from one goroutine, so no locking is needed.
-func (s *cellSession) nextPhase() int {
-	p := s.phases
-	s.phases++
-	return p
+	target  *CellID
+	payload []byte // the target cell's encoded slot, once captured
+	waited  bool   // wait has run once; a second call is an error
 }
 
 // errCellCaptured aborts a driver once RunCell has what it came for:
@@ -91,11 +66,22 @@ func (s *cellSession) nextPhase() int {
 // return wait errors unchanged, so the sentinel surfaces in RunCell.
 var errCellCaptured = errors.New("experiments: cell captured")
 
+// errWaitTwice rejects a driver that waits a second time under a cell
+// session: its later cells would be planned from earlier results the
+// session cannot carry. Such a driver must fold each dependent chain
+// into one cell (see Degraded).
+var errWaitTwice = errors.New("experiments: driver waits twice under a cell session; fold dependent replays into one cell")
+
 // ErrCellNotRemotable marks cells whose result cannot be transported: a
-// bare computation writing driver-local state rather than a
-// *diskthru.Result or *diskthru.LiveResult slot. Coordinators run such
-// cells locally.
+// bare computation writing driver-local state rather than a result
+// slot. Coordinators run such cells locally.
 var ErrCellNotRemotable = errors.New("experiments: cell is not remotable")
+
+// resultPair is the slot of a cell that runs two dependent replays, the
+// second configured from the first's result.
+type resultPair struct {
+	First, Second diskthru.Result
+}
 
 // Slot payloads are tagged with the slot's type so a payload can never
 // be decoded into the wrong kind of slot (LiveResult embeds Result, and
@@ -104,18 +90,27 @@ var ErrCellNotRemotable = errors.New("experiments: cell is not remotable")
 const (
 	tagResult     = 'R'
 	tagLiveResult = 'L'
+	tagResultPair = 'P'
 )
+
+// slotTag returns the payload tag of a remotable slot.
+func slotTag(slot any) (byte, error) {
+	switch slot.(type) {
+	case *diskthru.Result:
+		return tagResult, nil
+	case *diskthru.LiveResult:
+		return tagLiveResult, nil
+	case *resultPair:
+		return tagResultPair, nil
+	}
+	return 0, fmt.Errorf("%w (slot type %T)", ErrCellNotRemotable, slot)
+}
 
 // encodeSlot serializes one cell's result slot.
 func encodeSlot(slot any) ([]byte, error) {
-	var tag byte
-	switch slot.(type) {
-	case *diskthru.Result:
-		tag = tagResult
-	case *diskthru.LiveResult:
-		tag = tagLiveResult
-	default:
-		return nil, fmt.Errorf("%w (slot type %T)", ErrCellNotRemotable, slot)
+	tag, err := slotTag(slot)
+	if err != nil {
+		return nil, err
 	}
 	var buf bytes.Buffer
 	buf.WriteByte(tag)
@@ -127,17 +122,12 @@ func encodeSlot(slot any) ([]byte, error) {
 
 // decodeSlot writes a RunCell payload into the matching local slot.
 func decodeSlot(payload []byte, slot any) error {
+	want, err := slotTag(slot)
+	if err != nil {
+		return err
+	}
 	if len(payload) == 0 {
 		return fmt.Errorf("experiments: empty cell payload")
-	}
-	var want byte
-	switch slot.(type) {
-	case *diskthru.Result:
-		want = tagResult
-	case *diskthru.LiveResult:
-		want = tagLiveResult
-	default:
-		return fmt.Errorf("%w (slot type %T)", ErrCellNotRemotable, slot)
 	}
 	if payload[0] != want {
 		return fmt.Errorf("experiments: cell payload tag %q does not match slot type (want %q)",
@@ -150,80 +140,55 @@ func decodeSlot(payload []byte, slot any) error {
 }
 
 // RunCell executes exactly one cell of one experiment and returns its
-// encoded result slot — the daemon side of fleet execution. Phases
-// before id.Phase run in full (their results may shape the target
-// phase's plan); within the target phase only the target cell runs, and
-// the driver is then aborted. The payload is opaque to callers; hand it
-// to the inject callback of a RunWithCellExec dispatch of the same
-// (name, o, id) to reproduce a local run bit for bit.
+// encoded result slot — the daemon side of fleet execution. The driver
+// enumerates its cells, only the target runs, and the driver is then
+// aborted. The payload is opaque to callers; hand it to the inject
+// callback of a RunWithCellExec dispatch of the same (name, o, id) to
+// reproduce a local run bit for bit.
 func RunCell(name string, o Options, id CellID) ([]byte, error) {
-	res, err := RunCellWarm(name, o, id, nil)
-	return res.Payload, err
+	return RunCellExec(name, o, id, func(_ CellID, run func() ([]byte, error), _ func([]byte) error) error {
+		_, err := run()
+		return err
+	})
 }
 
-// CellRun is RunCellWarm's result: the target cell's payload plus the
-// earlier-phase accounting warm-start callers gate on.
-type CellRun struct {
-	// Payload is the target cell's encoded result slot.
-	Payload []byte
-	// PhaseCellsInjected counts earlier-phase slot cells filled from
-	// prior payloads instead of being re-simulated.
-	PhaseCellsInjected int
-	// PhaseCellsSimulated counts earlier-phase slot cells that ran
-	// locally — the redundant work warm starts exist to eliminate. A
-	// coordinator holding every earlier-phase payload should see zero.
-	PhaseCellsSimulated int
-}
-
-// RunCellWarm is RunCell with warm starts: prior maps earlier-phase
-// cells to payloads previously produced by RunCell for the same (name,
-// o) pair — the fleet coordinator holds every one it has accepted —
-// and the runner injects them instead of re-simulating those phases.
-// Injection uses the exact decode path a local RunWithCellExec uses,
-// so the target phase's plan, and therefore the returned payload, is
-// byte-identical to a cold run. Cells missing from prior (or bare
-// computations, which carry no payload) still run locally.
-func RunCellWarm(name string, o Options, id CellID, prior map[CellID][]byte) (CellRun, error) {
+// RunCellExec is RunCell with the target cell routed through exec, so a
+// caller holding an earlier payload for it (a journal checkpoint, a
+// cache) can inject that instead of running. Injection decodes into the
+// target's slot first, so a payload of the wrong slot type is refused
+// by exec's inject and the caller can fall back to run. The returned
+// payload is whichever of the two succeeded.
+func RunCellExec(name string, o Options, id CellID, exec CellExec) ([]byte, error) {
 	fn, err := Lookup(name)
 	if err != nil {
-		return CellRun{}, err
+		return nil, err
 	}
-	if id.Phase < 0 || id.Index < 0 {
-		return CellRun{}, fmt.Errorf("experiments: negative cell id %v", id)
-	}
-	for pid := range prior {
-		if pid.Phase >= id.Phase || pid.Phase < 0 || pid.Index < 0 {
-			return CellRun{}, fmt.Errorf("experiments: prior payload for %v cannot warm-start cell %v", pid, id)
-		}
+	if id.Index < 0 {
+		return nil, fmt.Errorf("experiments: negative cell id %v", id)
 	}
 	o.initWarm(name)
-	sess := &cellSession{target: &id, prior: prior}
+	sess := &cellSession{exec: exec, target: &id}
 	o.cells = sess
 	_, err = fn(o)
 	switch {
 	case errors.Is(err, errCellCaptured):
-		return CellRun{
-			Payload:             sess.payload,
-			PhaseCellsInjected:  int(sess.injected.Load()),
-			PhaseCellsSimulated: int(sess.simulated.Load()),
-		}, nil
+		return sess.payload, nil
 	case err != nil:
-		return CellRun{}, err
+		return nil, err
 	default:
-		// The driver finished every phase without reaching the target:
-		// the id names a phase or index the decomposition does not have.
-		return CellRun{}, fmt.Errorf("experiments: %s has no cell %v", name, id)
+		// The driver returned without waiting on any cell.
+		return nil, fmt.Errorf("experiments: %s has no cell %v", name, id)
 	}
 }
 
 // RunWithCellExec runs an experiment with every cell routed through
 // exec instead of the local worker pool — the coordinator side of fleet
-// execution. The driver still enumerates cells, phases, and assembles
-// the table locally, so presentation order is preserved no matter where
-// or in what order cells execute; with exec injecting RunCell payloads,
-// the rendered table is byte-identical to a plain Run. Cells are
-// dispatched concurrently up to o.Parallelism (the fleet sets this to
-// its total in-flight window).
+// execution. The driver still enumerates cells and assembles the table
+// locally, so presentation order is preserved no matter where or in
+// what order cells execute; with exec injecting RunCell payloads, the
+// rendered table is byte-identical to a plain Run. Cells are dispatched
+// concurrently up to o.Parallelism (the fleet sets this to its total
+// in-flight window).
 func RunWithCellExec(name string, o Options, exec CellExec) (*Table, error) {
 	fn, err := Lookup(name)
 	if err != nil {

@@ -36,7 +36,7 @@ func remoteShim(t *testing.T, name string, o Options) CellExec {
 //   - table2: the fleet acceptance sweep (multi-workload compare cells)
 //   - fig2:   bare computation cells (not remotable, local fallback)
 //   - ext-victim: RunLive cells (LiveResult slot payloads)
-//   - degraded: two phases, the second planned from the first's results
+//   - degraded: two dependent replays per cell (resultPair payloads)
 func TestCellExecByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-runs experiments cell by cell")
@@ -67,16 +67,15 @@ func TestCellExecByteIdentical(t *testing.T) {
 // unknown cells fail loudly instead of returning an empty payload.
 func TestRunCellErrors(t *testing.T) {
 	o := Quick()
-	if _, err := RunCell("table2", o, CellID{Phase: 7, Index: 0}); err == nil ||
-		!strings.Contains(err.Error(), "no cell") {
-		t.Errorf("out-of-range phase: err = %v, want 'no cell'", err)
-	}
-	if _, err := RunCell("table2", o, CellID{Phase: 0, Index: 999}); err == nil ||
+	if _, err := RunCell("table2", o, CellID{Index: 999}); err == nil ||
 		!strings.Contains(err.Error(), "no index") {
 		t.Errorf("out-of-range index: err = %v, want 'no index'", err)
 	}
-	if _, err := RunCell("table2", o, CellID{Phase: -1, Index: 0}); err == nil {
-		t.Error("negative phase accepted")
+	if _, err := RunCell("table2", o, CellID{Index: -1}); err == nil {
+		t.Error("negative index accepted")
+	}
+	if _, err := RunCell("fig2", o, CellID{Index: 0}); !errors.Is(err, ErrCellNotRemotable) {
+		t.Errorf("bare computation cell: err = %v, want ErrCellNotRemotable", err)
 	}
 	if _, err := RunCell("nope", o, CellID{}); err == nil {
 		t.Error("unknown experiment accepted")
@@ -88,7 +87,7 @@ func TestRunCellErrors(t *testing.T) {
 // acceptance a safety net rather than a correctness requirement.
 func TestRunCellPayloadDeterministic(t *testing.T) {
 	o := Quick()
-	id := CellID{Phase: 0, Index: 1}
+	id := CellID{Index: 1}
 	a, err := RunCell("table2", o, id)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +105,7 @@ func TestRunCellPayloadDeterministic(t *testing.T) {
 // of the wrong type.
 func TestDecodeSlotTagMismatch(t *testing.T) {
 	o := Quick()
-	payload, err := RunCell("table2", o, CellID{Phase: 0, Index: 0})
+	payload, err := RunCell("table2", o, CellID{Index: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,4 +118,71 @@ func TestDecodeSlotTagMismatch(t *testing.T) {
 	if err := decodeSlot(payload, &struct{}{}); !errors.Is(err, ErrCellNotRemotable) {
 		t.Errorf("bad slot type: err = %v, want ErrCellNotRemotable", err)
 	}
+}
+
+// twoWaits is a driver that waits twice: its second batch of cells is
+// planned after the first batch finished, the shape a cell session
+// cannot reproduce from a cell index alone.
+func twoWaits(o Options) (*Table, error) {
+	first := newRunner(o)
+	first.add(func() error { return nil })
+	if err := first.wait(); err != nil {
+		return nil, err
+	}
+	second := newRunner(o)
+	second.add(func() error { return nil })
+	if err := second.wait(); err != nil {
+		return nil, err
+	}
+	return &Table{ID: "two-waits"}, nil
+}
+
+// TestCellSessionRejectsSecondWait: a driver that waits twice under a
+// cell session fails loudly instead of silently replaying its first
+// batch; outside a session it still runs. The driver is called directly
+// rather than registered, so registry-wide tests never see it.
+func TestCellSessionRejectsSecondWait(t *testing.T) {
+	if _, err := twoWaits(tiny()); err != nil {
+		t.Fatalf("plain run: %v", err)
+	}
+	o := tiny()
+	o.cells = &cellSession{exec: func(_ CellID, run func() ([]byte, error), _ func([]byte) error) error {
+		_, err := run()
+		return err
+	}}
+	if _, err := twoWaits(o); !errors.Is(err, errWaitTwice) {
+		t.Fatalf("second wait under a cell session: err = %v, want errWaitTwice", err)
+	}
+}
+
+// FuzzDecodeSlot feeds arbitrary bytes — the shape of a payload from a
+// remote daemon or a damaged journal — into every remotable slot type.
+// Decoding must never panic, and a payload whose tag does not name the
+// slot's type must be refused before gob sees it.
+func FuzzDecodeSlot(f *testing.F) {
+	for _, slot := range []any{
+		&diskthru.Result{IOTime: 1.5, Requests: 3},
+		&diskthru.LiveResult{},
+		&resultPair{First: diskthru.Result{IOTime: 2}, Second: diskthru.Result{IOTime: 3}},
+	} {
+		payload, err := encodeSlot(slot)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{tagResultPair})
+	f.Add([]byte("R\x00\xff"))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		for _, slot := range []any{new(diskthru.Result), new(diskthru.LiveResult), new(resultPair)} {
+			want, err := slotTag(slot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if decodeSlot(payload, slot) == nil && payload[0] != want {
+				t.Fatalf("payload tagged %q decoded into %T", payload[0], slot)
+			}
+		}
+	})
 }

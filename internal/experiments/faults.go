@@ -94,10 +94,11 @@ func sumRemaps(r *diskthru.Result) uint64 {
 // Degraded kills one disk of the striped (unmirrored) array mid-run and
 // measures throughput before and after: the host watchdog times the dead
 // disk's requests out, marks it down, and redirects its blocks to spare
-// regions on the survivors (see fslayout.SpareLayout). The healthy phase
-// runs first so the death can be scheduled mid-replay; healthy results
-// are independent of parallelism, so the derived schedule — and the
-// whole table — stays byte-identical at any -j.
+// regions on the survivors (see fslayout.SpareLayout). Each system is
+// one cell: the healthy replay runs first so the death can be scheduled
+// mid-replay, then the degraded replay. Healthy results are independent
+// of parallelism, so the derived schedule — and the whole table — stays
+// byte-identical at any -j.
 func Degraded(o Options) (*Table, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
@@ -118,32 +119,27 @@ func Degraded(o Options) (*Table, error) {
 		{"FOR", diskthru.FOR, 0},
 		{"FOR+HDC", diskthru.FOR, 1024},
 	}
-	healthy := newRunner(o)
-	healthyRes := make([]*diskthru.Result, len(systems))
-	for i, s := range systems {
-		healthyRes[i] = healthy.run(wr, baseConfig().WithSystem(s.sys).WithHDC(s.hdcKB))
-	}
-	if err := healthy.wait(); err != nil {
-		return nil, err
-	}
-	degraded := newRunner(o)
-	degradedRes := make([]*diskthru.Result, len(systems))
+	r := newRunner(o)
+	res := make([]*resultPair, len(systems))
 	for i, s := range systems {
 		cfg := baseConfig().WithSystem(s.sys).WithHDC(s.hdcKB)
-		// Kill disk 2 halfway through the healthy makespan; a one-second
-		// request timeout detects the death.
-		cfg.Faults = &fault.Profile{
-			Seed:   101 + o.Seed,
-			Deaths: []fault.Death{{Disk: 2, At: healthyRes[i].IOTime * 0.5}},
-		}
-		cfg.RequestTimeoutSeconds = 1.0
-		degradedRes[i] = degraded.run(wr, cfg)
+		res[i] = r.runThen(wr, cfg, func(healthy diskthru.Result) diskthru.Config {
+			// Kill disk 2 halfway through the healthy makespan; a
+			// one-second request timeout detects the death.
+			d := cfg
+			d.Faults = &fault.Profile{
+				Seed:   101 + o.Seed,
+				Deaths: []fault.Death{{Disk: 2, At: healthy.IOTime * 0.5}},
+			}
+			d.RequestTimeoutSeconds = 1.0
+			return d
+		})
 	}
-	if err := degraded.wait(); err != nil {
+	if err := r.wait(); err != nil {
 		return nil, err
 	}
 	for i, s := range systems {
-		h, d := healthyRes[i], degradedRes[i]
+		h, d := res[i].First, res[i].Second
 		t.AddRow(s.label, h.IOTime, d.IOTime, d.IOTime/h.IOTime,
 			float64(d.Timeouts), float64(d.Redirects))
 	}

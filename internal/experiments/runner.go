@@ -20,28 +20,17 @@ import (
 // and therefore the assembled tables — are byte-identical at any
 // parallelism.
 //
-// When Options carries a cell session (RunCell / RunWithCellExec in
-// cell.go), wait additionally knows each cell's result slot, so a cell
-// can run on another machine and have its slot filled by wire payload
-// instead of local execution.
+// When Options carries a cell session (RunCellExec / RunWithCellExec
+// in cell.go), wait additionally knows each cell's result slot, so a
+// cell can run on another machine and have its slot filled by wire
+// payload instead of local execution.
 type runner struct {
 	par    int
 	ctx    context.Context // never nil; Background when Options.Ctx is unset
 	prog   *probe.Progress // nil-safe; reports cell plan + completions
 	stream bool            // Options.StreamStats, threaded into every cell
-	sess   *cellSession    // nil outside RunCell / RunWithCellExec
+	sess   *cellSession    // nil outside RunCellExec / RunWithCellExec
 	cells  []cellEntry
-
-	// Intra-cell snapshot hooks (Options.SnapshotEvery / OnSnapshot /
-	// ResumeSnapshot), armed only for the RunCell target cell: capture
-	// sets snapID just before executing it — serially, on the driver
-	// goroutine, after every earlier phase's pool has drained — and the
-	// cell closures read it at execution time. Never armed for earlier
-	// phases or plain runs.
-	snapEvery  uint64
-	onSnap     func(CellID, []byte)
-	resumeSnap func(CellID) []byte
-	snapID     *CellID
 }
 
 // cellEntry is one cell plus the metadata remote execution needs: the
@@ -49,7 +38,7 @@ type runner struct {
 // not remotable).
 type cellEntry struct {
 	fn   func() error
-	slot any // *diskthru.Result, *diskthru.LiveResult, or nil
+	slot any // *diskthru.Result, *diskthru.LiveResult, *resultPair, or nil
 }
 
 func newRunner(o Options) *runner {
@@ -58,8 +47,7 @@ func newRunner(o Options) *runner {
 		ctx = context.Background()
 	}
 	return &runner{par: o.parallelism(), ctx: ctx, prog: o.Progress,
-		stream: o.StreamStats, sess: o.cells,
-		snapEvery: o.SnapshotEvery, onSnap: o.OnSnapshot, resumeSnap: o.ResumeSnapshot}
+		stream: o.StreamStats, sess: o.cells}
 }
 
 // add appends one bare-computation cell. Cells must not read other
@@ -112,19 +100,24 @@ func (wr *workloadRef) get() (*diskthru.Workload, error) {
 	return wr.w, wr.err
 }
 
+// replay executes one diskthru.Run inside a cell, threading in the
+// runner's context, progress tracker and streaming flag.
+func (r *runner) replay(wr *workloadRef, cfg diskthru.Config) (diskthru.Result, error) {
+	w, err := wr.get()
+	if err != nil {
+		return diskthru.Result{}, err
+	}
+	cfg.Progress = r.prog
+	cfg.StreamStats = cfg.StreamStats || r.stream
+	return diskthru.RunContext(r.ctx, w, cfg)
+}
+
 // run appends a cell executing diskthru.Run and returns the slot the
 // result lands in. Read the slot only after wait returns nil.
 func (r *runner) run(wr *workloadRef, cfg diskthru.Config) *diskthru.Result {
 	res := new(diskthru.Result)
 	r.addSlot(func() error {
-		w, err := wr.get()
-		if err != nil {
-			return err
-		}
-		cfg.Progress = r.prog
-		cfg.StreamStats = cfg.StreamStats || r.stream
-		r.armSnapshots(&cfg)
-		v, err := diskthru.RunContext(r.ctx, w, cfg)
+		v, err := r.replay(wr, cfg)
 		if err != nil {
 			return err
 		}
@@ -134,22 +127,24 @@ func (r *runner) run(wr *workloadRef, cfg diskthru.Config) *diskthru.Result {
 	return res
 }
 
-// armSnapshots wires the session's intra-cell snapshot hooks into one
-// cell's replay config. A no-op unless capture armed this cell as the
-// RunCell target (see the runner struct comment).
-func (r *runner) armSnapshots(cfg *diskthru.Config) {
-	if r.snapID == nil {
-		return
-	}
-	id := *r.snapID
-	if r.onSnap != nil && r.snapEvery > 0 {
-		sink := r.onSnap
-		cfg.SnapshotEvery = r.snapEvery
-		cfg.OnSnapshot = func(state []byte) { sink(id, state) }
-	}
-	if r.resumeSnap != nil {
-		cfg.Resume = r.resumeSnap(id)
-	}
+// runThen appends a cell executing two dependent replays: cfg, then the
+// config next derives from that first result. Both results land in the
+// returned slot, so the dependency never crosses a cell boundary.
+func (r *runner) runThen(wr *workloadRef, cfg diskthru.Config, next func(diskthru.Result) diskthru.Config) *resultPair {
+	res := new(resultPair)
+	r.addSlot(func() error {
+		first, err := r.replay(wr, cfg)
+		if err != nil {
+			return err
+		}
+		second, err := r.replay(wr, next(first))
+		if err != nil {
+			return err
+		}
+		*res = resultPair{First: first, Second: second}
+		return nil
+	}, res)
+	return res
 }
 
 // compare is diskthru.Compare decomposed into one cell per system, with
@@ -160,15 +155,7 @@ func (r *runner) compare(wr *workloadRef, base diskthru.Config, systems []diskth
 		sys := sys
 		res := new(diskthru.Result)
 		r.addSlot(func() error {
-			w, err := wr.get()
-			if err != nil {
-				return err
-			}
-			cfg := base.WithSystem(sys)
-			cfg.Progress = r.prog
-			cfg.StreamStats = cfg.StreamStats || r.stream
-			r.armSnapshots(&cfg)
-			v, err := diskthru.RunContext(r.ctx, w, cfg)
+			v, err := r.replay(wr, base.WithSystem(sys))
 			if err != nil {
 				return fmt.Errorf("%v: %w", sys, err)
 			}
@@ -213,19 +200,16 @@ func (r *runner) cell(i int) error {
 	return nil
 }
 
-// dispatch routes cell i through the session's CellExec: bare cells run
-// locally via the hook's run callback, slot-carrying cells may instead
-// be injected from a remote RunCell payload.
-func (r *runner) dispatch(phase, i int) error {
+// route passes cell i through the session's CellExec and returns its
+// encoded slot: the payload run produced or the one inject accepted,
+// nil for bare cells. Bare cells get no inject callback, so they always
+// run locally.
+func (r *runner) route(i int) ([]byte, error) {
 	if err := r.ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	e := r.cells[i]
-	id := CellID{Phase: phase, Index: i}
-	var inject func([]byte) error
-	if e.slot != nil {
-		inject = func(payload []byte) error { return decodeSlot(payload, e.slot) }
-	}
+	var payload []byte
 	run := func() ([]byte, error) {
 		if err := e.fn(); err != nil {
 			return nil, err
@@ -233,60 +217,37 @@ func (r *runner) dispatch(phase, i int) error {
 		if e.slot == nil {
 			return nil, nil
 		}
-		return encodeSlot(e.slot)
+		p, err := encodeSlot(e.slot)
+		payload = p
+		return p, err
 	}
-	if err := r.sess.exec(id, run, inject); err != nil {
-		return err
+	var inject func([]byte) error
+	if e.slot != nil {
+		inject = func(p []byte) error {
+			if err := decodeSlot(p, e.slot); err != nil {
+				return err
+			}
+			payload = p
+			return nil
+		}
+	}
+	if err := r.sess.exec(CellID{Index: i}, run, inject); err != nil {
+		return nil, err
 	}
 	r.prog.CellDone()
-	return nil
+	return payload, nil
 }
 
-// priorOrRun executes one earlier-phase cell on behalf of a RunCell
-// capture: slot cells whose payload the session already holds are
-// injected — the same decode path RunWithCellExec uses, so the target
-// phase's plan is byte-identical to a cold run — and everything else
-// runs locally. The injected/simulated counters feed the daemon's
-// redundancy metrics.
-func (r *runner) priorOrRun(phase, i int) error {
-	if err := r.ctx.Err(); err != nil {
-		return err
-	}
-	e := r.cells[i]
-	if e.slot != nil {
-		if payload, ok := r.sess.prior[CellID{Phase: phase, Index: i}]; ok {
-			if err := decodeSlot(payload, e.slot); err == nil {
-				r.sess.injected.Add(1)
-				r.prog.CellDone()
-				return nil
-			}
-			// An undecodable payload is a warm-start miss, not a failure:
-			// fall through and recompute the cell.
-		}
-		r.sess.simulated.Add(1)
-	}
-	return r.cell(i)
-}
-
-// capture executes only the target cell of this phase and encodes its
-// slot into the session — the terminal step of RunCell on the daemon.
+// capture routes only the target cell and stores its payload in the
+// session — the terminal step of RunCellExec on the daemon.
 func (r *runner) capture(id CellID) error {
 	if id.Index >= len(r.cells) {
-		return fmt.Errorf("experiments: phase %d has %d cells, no index %d",
-			id.Phase, len(r.cells), id.Index)
+		return fmt.Errorf("experiments: %d cells, no index %d", len(r.cells), id.Index)
 	}
-	if (r.onSnap != nil || r.resumeSnap != nil) && r.cells[id.Index].slot != nil {
-		// Arm intra-cell snapshots for the target only. Safe without
-		// locking: capture runs serially on the driver goroutine, after
-		// every earlier phase's worker pool has drained, and the target
-		// cell executes inside r.cell below on this same goroutine.
-		tid := id
-		r.snapID = &tid
+	if r.cells[id.Index].slot == nil {
+		return fmt.Errorf("%w (cell %v)", ErrCellNotRemotable, id)
 	}
-	if err := r.cell(id.Index); err != nil {
-		return err
-	}
-	payload, err := encodeSlot(r.cells[id.Index].slot)
+	payload, err := r.route(id.Index)
 	if err != nil {
 		return err
 	}
@@ -304,12 +265,11 @@ func (r *runner) capture(id CellID) error {
 // any set of already-started cells. A cancelled Options.Ctx surfaces
 // here as the first error of whichever cell observed it.
 //
-// Under a cell session, wait first claims this phase's ordinal. In
-// capture mode (RunCell) a phase before the target runs in full — later
-// phases may plan from its results — while the target phase runs only
-// the target cell and aborts the driver with errCellCaptured. In exec
-// mode (RunWithCellExec) every cell is routed through the session's
-// dispatcher instead of running locally.
+// Under a cell session wait may run only once (see errWaitTwice). In
+// capture mode (RunCellExec) it routes only the target cell and aborts
+// the driver with errCellCaptured; in exec mode (RunWithCellExec) every
+// cell is routed through the session's CellExec instead of running
+// locally.
 func (r *runner) wait() error {
 	n := len(r.cells)
 	// The cell plan is known only now (drivers append cells up to this
@@ -318,18 +278,16 @@ func (r *runner) wait() error {
 	r.prog.AddCells(n)
 	exec := r.cell
 	if r.sess != nil {
-		phase := r.sess.nextPhase()
-		switch {
-		case r.sess.target != nil:
-			if phase == r.sess.target.Phase {
-				return r.capture(*r.sess.target)
-			}
-			// An earlier phase: inject each slot cell from a prior-phase
-			// payload when the session carries one (warm start), run it
-			// in full locally otherwise.
-			exec = func(i int) error { return r.priorOrRun(phase, i) }
-		case r.sess.exec != nil:
-			exec = func(i int) error { return r.dispatch(phase, i) }
+		if r.sess.waited {
+			return errWaitTwice
+		}
+		r.sess.waited = true
+		if r.sess.target != nil {
+			return r.capture(*r.sess.target)
+		}
+		exec = func(i int) error {
+			_, err := r.route(i)
+			return err
 		}
 	}
 	par := r.par

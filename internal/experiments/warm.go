@@ -29,7 +29,7 @@ type WorkloadCache interface {
 // field that shapes workloads, and the ordinal names the newWorkload
 // call site in registration order — which is deterministic, because
 // drivers register workloads from the driver goroutine in program
-// order (the same order RunCell and RunWithCellExec replay).
+// order (the same order RunCellExec and RunWithCellExec replay).
 type warmState struct {
 	cache WorkloadCache
 	scope string
@@ -37,7 +37,7 @@ type warmState struct {
 }
 
 // initWarm stamps the invocation's warm session onto the options —
-// called by every entry point (Run, RunCellWarm, RunWithCellExec) once
+// called by every entry point (Run, RunCellExec, RunWithCellExec) once
 // the experiment name is known, since Options itself does not carry it.
 func (o *Options) initWarm(name string) {
 	if o.WorkloadCache == nil {
@@ -48,8 +48,8 @@ func (o *Options) initWarm(name string) {
 }
 
 // warmScope fingerprints the workload-shaping inputs. Parallelism, Ctx,
-// StreamStats, Progress and the snapshot hooks are excluded on purpose:
-// none of them affect what a driver builds.
+// StreamStats and Progress are excluded on purpose: none of them affect
+// what a driver builds.
 func warmScope(name string, o Options) string {
 	return fmt.Sprintf("%s|syn=%d|web=%g|proxy=%g|file=%g|seed=%d",
 		name, o.SynRequests, o.WebScale, o.ProxyScale, o.FileScale, o.Seed)

@@ -1,109 +1,11 @@
 package experiments
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 
 	"diskthru"
 )
-
-// decompose runs every cell of an experiment locally through the
-// RunWithCellExec path, recording each remotable cell's payload and the
-// phase structure — the coordinator's-eye view of the driver.
-func decompose(t *testing.T, name string, o Options) (payloads map[CellID][]byte, maxPhase int) {
-	t.Helper()
-	var mu sync.Mutex
-	payloads = make(map[CellID][]byte)
-	exec := func(id CellID, run func() ([]byte, error), inject func([]byte) error) error {
-		payload, err := run()
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		if payload != nil {
-			payloads[id] = payload
-		}
-		if id.Phase > maxPhase {
-			maxPhase = id.Phase
-		}
-		mu.Unlock()
-		return nil
-	}
-	if _, err := RunWithCellExec(name, o, exec); err != nil {
-		t.Fatalf("decompose %s: %v", name, err)
-	}
-	return payloads, maxPhase
-}
-
-// TestInjectedPhaseByteIdentity scans the whole registry for
-// multi-phase drivers and, for every later-phase cell of each one,
-// requires RunCellWarm fed the earlier phases' payloads to (a)
-// re-simulate zero earlier-phase cells and (b) produce a payload
-// byte-identical to the cold local run's — the warm-start contract the
-// fleet coordinator relies on.
-func TestInjectedPhaseByteIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("re-runs experiments cell by cell")
-	}
-	multiPhase := 0
-	for _, name := range Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			o := tiny()
-			o.Parallelism = 1
-			payloads, maxPhase := decompose(t, name, o)
-			if maxPhase == 0 {
-				t.Skipf("single-phase driver")
-			}
-			multiPhase++
-			for id, want := range payloads {
-				if id.Phase == 0 {
-					continue
-				}
-				prior := make(map[CellID][]byte)
-				earlier := 0
-				for pid, p := range payloads {
-					if pid.Phase < id.Phase {
-						prior[pid] = p
-						earlier++
-					}
-				}
-				res, err := RunCellWarm(name, o, id, prior)
-				if err != nil {
-					t.Fatalf("RunCellWarm(%v): %v", id, err)
-				}
-				if res.PhaseCellsSimulated != 0 {
-					t.Errorf("cell %v: %d earlier-phase cells re-simulated despite full prior set",
-						id, res.PhaseCellsSimulated)
-				}
-				if earlier > 0 && res.PhaseCellsInjected == 0 {
-					t.Errorf("cell %v: no earlier-phase cells injected (%d available)", id, earlier)
-				}
-				if !bytes.Equal(res.Payload, want) {
-					t.Errorf("cell %v: injected-phase payload differs from replayed-phase payload", id)
-				}
-			}
-		})
-	}
-	if multiPhase == 0 {
-		t.Error("registry has no multi-phase driver; the degraded driver should be one")
-	}
-}
-
-// TestRunCellWarmRejectsBadPrior pins the validation surface: prior
-// payloads must belong to strictly earlier phases.
-func TestRunCellWarmRejectsBadPrior(t *testing.T) {
-	o := tiny()
-	bad := map[CellID][]byte{{Phase: 1, Index: 0}: []byte("x")}
-	if _, err := RunCellWarm("degraded", o, CellID{Phase: 1, Index: 0}, bad); err == nil {
-		t.Fatal("same-phase prior payload accepted")
-	}
-	neg := map[CellID][]byte{{Phase: -1, Index: 0}: []byte("x")}
-	if _, err := RunCellWarm("degraded", o, CellID{Phase: 1, Index: 0}, neg); err == nil {
-		t.Fatal("negative-phase prior payload accepted")
-	}
-}
 
 // TestWorkloadCacheReuse pins the workload cache contract: a second
 // invocation under the same cache and options hits every construction

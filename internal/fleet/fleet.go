@@ -53,7 +53,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -90,11 +89,6 @@ type Config struct {
 	CellTimeout time.Duration
 	// Backoff shapes the retry delays (zero value = 100ms..5s, jittered).
 	Backoff Backoff
-	// DisablePhaseInjection stops the coordinator from attaching
-	// earlier-phase payloads to later-phase cell submissions, forcing
-	// every daemon to re-simulate prior phases from scratch — the
-	// pre-warm-start behavior. Benchmark/diagnostic switch.
-	DisablePhaseInjection bool
 	// StateDir, when set, journals every accepted cell payload to an
 	// fsync'd log under this directory so a killed coordinator can
 	// resume a sweep. Each Run starts a fresh journal unless Resume is
@@ -197,17 +191,9 @@ type Coordinator struct {
 	local      *metrics.Counter
 	duplicates *metrics.Counter
 	resumedC   *metrics.Counter
-	warmSent   *metrics.Counter
 
 	mu       sync.Mutex
 	accepted map[experiments.CellID]bool
-	// payloads retains every accepted cell payload of the current sweep
-	// — remote results, journal-resumed cells and local fallbacks alike
-	// — so later-phase dispatches can carry the earlier phases' results
-	// (Spec.PhaseResults) and daemons inject instead of re-simulating.
-	// The driver's phase barrier guarantees every phase-p payload is
-	// here before any phase-p+1 cell dispatches.
-	payloads map[experiments.CellID][]byte
 	seq      int // round-robin cursor for home-daemon scan starts
 
 	// Per-sweep fields, set by Run.
@@ -301,8 +287,6 @@ func (c *Coordinator) initMetrics() {
 		"Remote results discarded by at-most-once acceptance.")
 	c.resumedC = c.reg.NewCounter("fleet_cells_resumed_total",
 		"Cells injected from the coordinator's journal instead of dispatched (crash-resume path).")
-	c.warmSent = c.reg.NewCounter("fleet_phase_payloads_attached_total",
-		"Prior-phase payloads attached to dispatched cell jobs so daemons inject them instead of re-simulating earlier phases.")
 	for _, d := range c.daemons {
 		d := d
 		c.reg.NewGaugeFunc("fleet_daemon_up",
@@ -355,7 +339,6 @@ func (c *Coordinator) Run(ctx context.Context, experiment string, o experiments.
 	c.nonce = fmt.Sprintf("%d", time.Now().UnixNano())
 	c.mu.Lock()
 	c.accepted = make(map[experiments.CellID]bool)
-	c.payloads = make(map[experiments.CellID][]byte)
 	c.mu.Unlock()
 	c.resumed = nil
 	c.jnl = nil
@@ -405,9 +388,7 @@ type sweepRecord struct {
 // baseSpec is the cell submission without the cell — the part shared by
 // every dispatch of this sweep, and therefore the sweep's fingerprint:
 // two sweeps with equal base specs and experiment produce bit-identical
-// cell payloads, so their journals are interchangeable. PhaseResults
-// never appear here: a phase-0 CellID attaches none, and they are a
-// transport optimization, not part of the sweep's identity.
+// cell payloads, so their journals are interchangeable.
 func (c *Coordinator) baseSpec() serve.Spec {
 	sp := c.spec(experiments.CellID{})
 	sp.Cell = nil
@@ -509,7 +490,7 @@ func (c *Coordinator) journalCell(id experiments.CellID, payload []byte) {
 
 // home deterministically assigns a cell's preferred daemon.
 func (c *Coordinator) home(id experiments.CellID) int {
-	return (id.Index + id.Phase*8191) % len(c.daemons)
+	return id.Index % len(c.daemons)
 }
 
 // acquire claims an in-flight slot for the cell, preferring its home
@@ -568,7 +549,6 @@ func (c *Coordinator) execCell(id experiments.CellID, run func() ([]byte, error)
 	}
 	if payload, ok := c.resumed[id]; ok {
 		if err := inject(payload); err == nil {
-			c.retain(id, payload)
 			c.resumedC.Inc()
 			return nil
 		}
@@ -607,7 +587,6 @@ func (c *Coordinator) execCell(id experiments.CellID, run func() ([]byte, error)
 			if err := inject(payload); err != nil {
 				return err // corrupt payload: a bug, not a retry case
 			}
-			c.retain(id, payload)
 			c.journalCell(id, payload)
 			c.completed.Inc()
 			return nil
@@ -641,7 +620,6 @@ func (c *Coordinator) execCell(id experiments.CellID, run func() ([]byte, error)
 		return err
 	}
 	if payload != nil {
-		c.retain(id, payload)
 		c.journalCell(id, payload)
 	}
 	return nil
@@ -673,12 +651,9 @@ func retryAfterOf(err error) time.Duration {
 
 // spec builds the wire submission for one cell: every scale explicit so
 // the daemon reproduces the coordinator's Options exactly, parallelism
-// 1 because a cell is a single replay. Later-phase cells additionally
-// carry every retained earlier-phase payload, so the daemon injects the
-// prior phases — byte-identical by construction — instead of
-// re-simulating them to rebuild the target phase's plan.
+// 1 because a cell runs on one goroutine.
 func (c *Coordinator) spec(id experiments.CellID) serve.Spec {
-	sp := serve.Spec{
+	return serve.Spec{
 		Experiment:  c.experiment,
 		Parallelism: 1,
 		Seed:        c.opts.Seed,
@@ -689,39 +664,6 @@ func (c *Coordinator) spec(id experiments.CellID) serve.Spec {
 		FileScale:   c.opts.FileScale,
 		Cell:        &id,
 	}
-	if id.Phase > 0 && !c.cfg.DisablePhaseInjection {
-		sp.PhaseResults = c.priorPayloads(id.Phase)
-	}
-	return sp
-}
-
-// priorPayloads snapshots every retained payload from phases before
-// phase, sorted by (Phase, Index) so the wire body is deterministic.
-func (c *Coordinator) priorPayloads(phase int) []serve.CellPayload {
-	c.mu.Lock()
-	var out []serve.CellPayload
-	for cid, p := range c.payloads {
-		if cid.Phase < phase {
-			out = append(out, serve.CellPayload{Cell: cid, Payload: p})
-		}
-	}
-	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Cell, out[j].Cell
-		if a.Phase != b.Phase {
-			return a.Phase < b.Phase
-		}
-		return a.Index < b.Index
-	})
-	c.warmSent.Add(float64(len(out)))
-	return out
-}
-
-// retain keeps one accepted payload for later-phase warm dispatches.
-func (c *Coordinator) retain(id experiments.CellID, payload []byte) {
-	c.mu.Lock()
-	c.payloads[id] = payload
-	c.mu.Unlock()
 }
 
 // runCellJob performs one remote attempt: submit, poll to terminal,

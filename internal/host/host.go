@@ -15,7 +15,6 @@ import (
 	"diskthru/internal/dist"
 	"diskthru/internal/fslayout"
 	"diskthru/internal/sim"
-	"diskthru/internal/snapshot"
 	"diskthru/internal/trace"
 )
 
@@ -289,9 +288,8 @@ func (h *Host) Replay(t *trace.Trace) sim.Time {
 
 // Start seeds the simulator with the trace's replay without draining
 // it: every initial stream (closed loop) or arrival (open loop) is
-// scheduled, and the caller owns the drive — sim.Run for a plain
-// replay, sim.RunEvents for the snapshot layer's exact fast-forward.
-// Read the makespan from Makespan after the queue drains.
+// scheduled, and the caller drains the simulator (sim.Run). Read the
+// makespan from Makespan after the queue drains.
 func (h *Host) Start(t *trace.Trace) {
 	h.records = t.Records
 	h.cursor = 0
@@ -321,28 +319,6 @@ func (h *Host) Start(t *trace.Trace) {
 // Makespan reports the completion time of the last host-visible
 // operation — valid once the simulator has drained after Start.
 func (h *Host) Makespan() sim.Time { return h.lastCompletion }
-
-// DigestState folds the host's replay bookkeeping into a snapshot
-// digest — trace position, in-flight work, issued/latency counters and
-// the degraded-mode watchdog state. Called at event-loop boundaries
-// only, so every field is quiescent.
-func (h *Host) DigestState(d *snapshot.Hash) {
-	d.AddInt(h.cursor)
-	d.AddInt(h.active)
-	d.AddInt(h.openPending)
-	d.AddBool(h.openExhausted)
-	d.AddFloat(h.lastCompletion)
-	d.Add(h.IssuedRequests)
-	d.AddInt(len(h.Latencies))
-	d.Add(h.redirects)
-	d.Add(h.aborted)
-	for _, n := range h.timeouts {
-		d.Add(n)
-	}
-	for _, down := range h.down {
-		d.AddBool(down)
-	}
-}
 
 // startOpenLoop injects records as a Poisson arrival process and
 // collects per-record response times. Concurrency is unbounded, as in

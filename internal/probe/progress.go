@@ -30,8 +30,8 @@ type Progress struct {
 func NewProgress() *Progress { return &Progress{} }
 
 // AddCells grows the planned-cell count. Runners call it once per
-// wait, so multi-phase drivers (several runners per experiment)
-// accumulate rather than overwrite.
+// wait, so several runners reporting into one tracker accumulate
+// rather than overwrite.
 func (p *Progress) AddCells(n int) {
 	if p == nil || n <= 0 {
 		return

@@ -21,7 +21,7 @@ func TestProgressNilSafe(t *testing.T) {
 func TestProgressAccumulates(t *testing.T) {
 	p := NewProgress()
 	p.AddCells(3)
-	p.AddCells(2) // multi-phase drivers accumulate
+	p.AddCells(2) // a second runner accumulates
 	p.Advance(4096, 0.25)
 	p.Advance(4096, 0.75)
 	p.CellDone()

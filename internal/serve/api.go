@@ -22,8 +22,7 @@ import (
 //	DELETE /v1/jobs/{id}          cancel               -> 202 View | 404
 //	GET    /healthz               liveness; 200 "ok" serving,
 //	                              503 "draining" while draining
-//	GET    /metrics               Prometheus text; ?format=legacy for the
-//	                              pre-registry listing (see Metrics)
+//	GET    /metrics               Prometheus text exposition
 //
 // All bodies are JSON except /metrics (text/plain) and the progress
 // stream (application/x-ndjson). Every route is instrumented with the
@@ -161,10 +160,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if r.URL.Query().Get("format") == "legacy" {
-		_, _ = w.Write([]byte(s.Metrics()))
-		return
-	}
 	_ = s.reg.WritePrometheus(w) // header is out; nothing left to do on error
 }
 

@@ -18,7 +18,7 @@ import (
 // slot is bit-identical to a local run's.
 func TestCellJobRoundTrip(t *testing.T) {
 	h := newHarness(t, Config{QueueCap: 4})
-	cell := experiments.CellID{Phase: 0, Index: 1}
+	cell := experiments.CellID{Index: 1}
 	v := h.submit(Spec{Experiment: "table2", Quick: true, Parallelism: 1, Cell: &cell})
 	v = h.await(v.ID, 2*time.Minute, terminal)
 	if v.State != StateDone {
@@ -46,12 +46,12 @@ func TestCellJobRoundTrip(t *testing.T) {
 func TestCellJobValidation(t *testing.T) {
 	h := newHarness(t, Config{QueueCap: 4})
 	status, _, raw := h.request("POST", "/v1/jobs",
-		map[string]any{"experiment": "fig1", "cell": map[string]int{"phase": -1, "index": 0}})
+		map[string]any{"experiment": "fig1", "cell": map[string]int{"index": -1}})
 	if status != http.StatusBadRequest {
 		t.Errorf("negative cell: status %d (%s), want 400", status, raw)
 	}
 
-	cell := experiments.CellID{Phase: 0, Index: 9999}
+	cell := experiments.CellID{Index: 9999}
 	v := h.submit(Spec{Experiment: "fig1", Quick: true, Parallelism: 1, Cell: &cell})
 	v = h.await(v.ID, time.Minute, terminal)
 	if v.State != StateFailed {

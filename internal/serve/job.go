@@ -68,15 +68,6 @@ type Spec struct {
 	// This is the unit the fleet coordinator (internal/fleet) dispatches;
 	// Format is ignored for cell jobs.
 	Cell *experiments.CellID `json:"cell,omitempty"`
-	// PhaseResults carries earlier-phase cell payloads for a cell job
-	// whose target phase plans from prior phases (e.g. the degraded
-	// sweep's fault times derive from the healthy phase's results). The
-	// daemon injects them instead of re-simulating those phases — the
-	// same decode path a local run uses, so the result stays
-	// byte-identical — and re-simulates only what is missing. Only valid
-	// with Cell set; every entry must belong to a phase strictly before
-	// the target's.
-	PhaseResults []CellPayload `json:"phase_results,omitempty"`
 	// IdempotencyKey, when non-empty, makes the submission at-most-once:
 	// resubmitting the same key with the same spec returns the original
 	// job instead of admitting a second one — across daemon restarts
@@ -84,14 +75,6 @@ type Spec struct {
 	// is rejected. The Idempotency-Key request header, when present,
 	// overrides this field.
 	IdempotencyKey string `json:"idempotency_key,omitempty"`
-}
-
-// CellPayload is one prior-phase cell result attached to a cell job
-// submission: the payload is the cell's encoded slot exactly as a
-// RunCell job returned it (before base64).
-type CellPayload struct {
-	Cell    experiments.CellID `json:"cell"`
-	Payload []byte             `json:"payload"`
 }
 
 // validate rejects specs the worker could never execute.
@@ -113,25 +96,8 @@ func (sp Spec) validate() error {
 	if sp.SynRequests < 0 || sp.WebScale < 0 || sp.ProxyScale < 0 || sp.FileScale < 0 {
 		return fmt.Errorf("serve: negative scale override")
 	}
-	if sp.Cell != nil && (sp.Cell.Phase < 0 || sp.Cell.Index < 0) {
+	if sp.Cell != nil && sp.Cell.Index < 0 {
 		return fmt.Errorf("serve: negative cell id %v", *sp.Cell)
-	}
-	if len(sp.PhaseResults) > 0 {
-		if sp.Cell == nil {
-			return fmt.Errorf("serve: phase_results without a cell target")
-		}
-		for _, pr := range sp.PhaseResults {
-			if pr.Cell.Phase < 0 || pr.Cell.Index < 0 {
-				return fmt.Errorf("serve: negative phase-result cell id %v", pr.Cell)
-			}
-			if pr.Cell.Phase >= sp.Cell.Phase {
-				return fmt.Errorf("serve: phase-result cell %v is not from a phase before target %v",
-					pr.Cell, *sp.Cell)
-			}
-			if len(pr.Payload) == 0 {
-				return fmt.Errorf("serve: empty phase-result payload for cell %v", pr.Cell)
-			}
-		}
 	}
 	if len(sp.IdempotencyKey) > 256 {
 		return fmt.Errorf("serve: idempotency key longer than 256 bytes")
@@ -184,10 +150,6 @@ type job struct {
 	// checkpoint holds the journaled per-cell payloads a recovered job
 	// resumes from; nil for fresh submissions. Read-only once set.
 	checkpoint map[experiments.CellID][]byte
-	// snapshots holds the journaled intra-cell snapshots (latest per
-	// cell) a recovered job fast-forwards from; nil for fresh
-	// submissions. Read-only once set.
-	snapshots map[experiments.CellID][]byte
 	// cancel interrupts the running replay; non-nil only while the job
 	// is running.
 	cancel func()
@@ -196,8 +158,9 @@ type job struct {
 	// it while the replay writes.
 	progress *probe.Progress
 	// maxFrac floors the reported completion fraction (under mu).
-	// Multi-phase drivers grow the cell plan while running, which can
-	// move the raw fraction backwards; clients see it only ever rise.
+	// The cell plan is only known once the driver waits, and a job's
+	// plan grows with every runner it creates, which can move the raw
+	// fraction backwards; clients see it only ever rise.
 	maxFrac float64
 	// log carries the job id and experiment on every record.
 	log *slog.Logger

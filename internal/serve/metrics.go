@@ -10,8 +10,7 @@ import (
 
 // initMetrics builds the server's Prometheus registry. The lifecycle
 // counters stay where they always lived — plain ints under the server
-// mutex, which the legacy /metrics renderer and the API both read — and
-// the registry reads them through func-backed series at scrape time, so
+// mutex, which the API also reads — and the registry reads them through func-backed series at scrape time, so
 // there is exactly one source of truth and no shadow bookkeeping to
 // drift. Only quantities the mutex-guarded state cannot express
 // (latency distributions, HTTP traffic) get registry-native series.
@@ -116,24 +115,9 @@ func (s *Server) initMetrics() {
 			return float64(bytes)
 		})
 
-	// Warm-start families. Like the durability families they always
-	// exist, reading zero when the cache/snapshot machinery is off, so
-	// dashboards need no conditional scrape.
-	r.NewCounterFunc("serve_cells_phase_injected_total",
-		"Earlier-phase cells of cell jobs satisfied by injecting submitted phase results instead of re-simulating.",
-		func() float64 { return float64(s.phaseInjected.Load()) })
-	r.NewCounterFunc("serve_cells_phase_resimulated_total",
-		"Earlier-phase cells of cell jobs re-simulated because no usable phase result was submitted.",
-		func() float64 { return float64(s.phaseResimulated.Load()) })
-	r.NewCounterFunc("serve_snapshots_taken_total",
-		"Intra-cell replay snapshots journaled by running cell jobs.",
-		func() float64 { return float64(s.snapsTaken.Load()) })
-	r.NewCounterFunc("serve_snapshot_restores_total",
-		"Mid-cell resume attempts from a journaled snapshot, by outcome: verified resumes fast-forwarded bit-exactly, mismatches fell back to a cold run.",
-		func() float64 { return float64(s.snapVerified.Load()) }, "result", "verified")
-	r.NewCounterFunc("serve_snapshot_restores_total",
-		"Mid-cell resume attempts from a journaled snapshot, by outcome: verified resumes fast-forwarded bit-exactly, mismatches fell back to a cold run.",
-		func() float64 { return float64(s.snapMismatch.Load()) }, "result", "mismatch")
+	// Warm-cache families. Like the durability families they always
+	// exist, reading zero when the cache is off, so dashboards need no
+	// conditional scrape.
 	for _, kind := range []string{kindPayload, kindWorkload} {
 		kind := kind
 		i := kindIdx(kind)

@@ -12,53 +12,7 @@ import (
 	"diskthru/internal/metrics"
 )
 
-// --- /metrics: Prometheus default, legacy opt-in ---------------------
-
-// TestMetricsLegacyFormatPinned pins the pre-registry names and shape:
-// scrapers that learned the old listing keep working by adding
-// ?format=legacy. This test is the compatibility contract — if it
-// breaks, someone changed Metrics() instead of the registry.
-func TestMetricsLegacyFormatPinned(t *testing.T) {
-	run, release := blockingRunner(nil)
-	h := newHarness(t, Config{QueueCap: 4, Workers: 1, Runner: run})
-	h.submit(Spec{Experiment: "fig1"})
-	release()
-	for _, v := range h.srv.List() {
-		h.await(v.ID, 10*time.Second, terminal)
-	}
-
-	status, hdr, raw := h.request("GET", "/metrics?format=legacy", nil)
-	if status != http.StatusOK {
-		t.Fatalf("legacy metrics: status %d", status)
-	}
-	if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("legacy metrics content type %q", ct)
-	}
-	body := string(raw)
-	if body != h.srv.Metrics() {
-		t.Errorf("HTTP legacy output differs from Metrics()")
-	}
-	for _, want := range []string{
-		"diskthru_jobs_submitted_total 1",
-		`diskthru_jobs_rejected_total{reason="queue_full"} 0`,
-		`diskthru_jobs_rejected_total{reason="draining"} 0`,
-		`diskthru_jobs_total{state="done"} 1`,
-		`diskthru_jobs_total{state="failed"} 0`,
-		`diskthru_jobs_total{state="canceled"} 0`,
-		"diskthru_jobs_running 0",
-		"diskthru_queue_depth 0",
-		"diskthru_queue_capacity 4",
-		"diskthru_draining 0",
-		`diskthru_job_seconds{experiment="fig1",stat="count"} 1`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("legacy metrics missing %q in:\n%s", want, body)
-		}
-	}
-	if strings.Contains(body, "# HELP") {
-		t.Errorf("legacy format grew Prometheus metadata:\n%s", body)
-	}
-}
+// --- /metrics ---------------------------------------------------------
 
 // TestMetricsPrometheusFamilies checks the default /metrics output is
 // well-formed exposition text carrying the expected families.

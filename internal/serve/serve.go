@@ -22,18 +22,15 @@ import (
 	"io"
 	"log/slog"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"diskthru"
 	"diskthru/internal/experiments"
 	"diskthru/internal/journal"
 	"diskthru/internal/metrics"
 	"diskthru/internal/probe"
-	"diskthru/internal/stats"
 )
 
 // Submission rejections. The HTTP layer maps these to 429, 503, 409
@@ -81,17 +78,6 @@ type Config struct {
 	// answered from memory instead of re-simulated. Zero means 64 MiB;
 	// negative disables caching entirely.
 	CacheBytes int64
-	// SnapshotEvery arms intra-cell checkpointing for cell jobs on a
-	// journal-enabled daemon: roughly every this many simulation events
-	// the replay engine's verified state snapshot is journaled, and a
-	// SIGKILLed cell resumes mid-flight at the next boot instead of
-	// restarting from zero. Zero disables; ignored without StateDir.
-	SnapshotEvery uint64
-	// DisablePhaseInjection makes the daemon re-simulate earlier phases
-	// of cell jobs even when the submission carries their payloads
-	// (Spec.PhaseResults). Benchmark/diagnostic switch: it isolates the
-	// cost phase injection removes.
-	DisablePhaseInjection bool
 	// StateDir, when set, makes the daemon crash-safe: every job
 	// admission, state transition and completed simulation cell is
 	// appended to an fsync'd journal under this directory, and New
@@ -134,17 +120,8 @@ type Server struct {
 	// counts cells restored from it instead of re-run.
 	jnl           *journal.Writer
 	cellsReplayed atomic.Int64
-	// cache is the warm-start LRU (nil when Config.CacheBytes < 0); the
-	// warm-execution counters below are atomics so the metrics registry
-	// reads them without mu.
-	cache            *warmCache
-	phaseInjected    atomic.Int64 // earlier-phase cells injected from Spec.PhaseResults
-	phaseResimulated atomic.Int64 // earlier-phase cells re-simulated (no usable prior)
-	snapsTaken       atomic.Int64 // intra-cell snapshots journaled
-	snapVerified     atomic.Int64 // mid-cell resumes that fast-forwarded and verified
-	snapMismatch     atomic.Int64 // resumes rejected by verification; cell re-ran cold
-	// perExp summarizes wall-clock seconds of completed (done) jobs.
-	perExp map[string]*stats.Summary
+	// cache is the warm-start LRU (nil when Config.CacheBytes < 0).
+	cache *warmCache
 
 	// Prometheus surface (see initMetrics). The registry reads the
 	// counters above through func-backed series; these fields are the
@@ -175,11 +152,10 @@ func New(cfg Config) (*Server, error) {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	s := &Server{
-		cfg:    cfg,
-		log:    logger,
-		jobs:   make(map[string]*job),
-		idem:   make(map[string]string),
-		perExp: make(map[string]*stats.Summary),
+		cfg:  cfg,
+		log:  logger,
+		jobs: make(map[string]*job),
+		idem: make(map[string]string),
 	}
 	if s.cfg.Runner == nil {
 		s.cfg.Runner = s.runSpec
@@ -223,11 +199,8 @@ func New(cfg Config) (*Server, error) {
 // cell through experiments.RunWithCellExec so completed cells persist
 // as they finish and journaled ones are injected instead of re-run —
 // the cell decomposition is proven byte-identical to a plain run.
-// Warm-start layers (cell jobs): the journal checkpoint, then the
-// in-memory payload cache, then phase injection from Spec.PhaseResults,
-// then — if a journaled intra-cell snapshot exists — a verified mid-cell
-// resume. Every layer preserves byte identity; each just starts closer
-// to the finish line.
+// Cell jobs consult the journal checkpoint, then the in-memory payload
+// cache, before simulating; both preserve byte identity.
 func (s *Server) runSpec(ctx context.Context, sp Spec, prog *probe.Progress, ck *Checkpoint) (string, error) {
 	o := sp.options()
 	o.Ctx = ctx
@@ -263,79 +236,46 @@ func (s *Server) runSpec(ctx context.Context, sp Spec, prog *probe.Progress, ck 
 // single cell's encoded slot, base64 so it survives the JSON job view;
 // the coordinator that submitted it decodes and injects it into its own
 // driver invocation — it is not human-readable on purpose.
+//
+// The cell's payload comes from the first source that has one: the
+// journal checkpoint (this very job completed the cell before a crash),
+// the content-addressed payload cache (some earlier job with the same
+// canonical identity computed it: retries under new idempotency keys,
+// failover re-dispatch, repeated sweeps), or a fresh simulation. Stored
+// payloads are injected into the cell's slot, so one of the wrong slot
+// type — journaled by an older binary — fails the tag check and the
+// cell re-runs.
 func (s *Server) runCellSpec(sp Spec, o experiments.Options, ck *Checkpoint) (string, error) {
-	id := *sp.Cell
-	// Layer 1: the journal checkpoint — this very job already completed
-	// the cell before a crash.
-	if payload, ok := ck.lookup(id); ok {
-		ck.replayed()
-		return base64.StdEncoding.EncodeToString(payload), nil
-	}
-	// Layer 2: the content-addressed payload cache — some earlier job
-	// with the same canonical identity already computed this cell
-	// (retries under new idempotency keys, failover re-dispatch,
-	// repeated sweeps). Journal the hit so it is durable for this job.
 	key := payloadKey(sp, o)
-	if payload, ok := s.cache.getPayload(key); ok {
-		ck.recordCell(id, payload)
-		return base64.StdEncoding.EncodeToString(payload), nil
-	}
-	// Layer 3: phase injection — the submitter attached earlier-phase
-	// payloads, so those phases decode instead of re-simulating.
-	var prior map[experiments.CellID][]byte
-	if !s.cfg.DisablePhaseInjection && len(sp.PhaseResults) > 0 {
-		prior = make(map[experiments.CellID][]byte, len(sp.PhaseResults))
-		for _, pr := range sp.PhaseResults {
-			prior[pr.Cell] = pr.Payload
-		}
-	}
-	// Layer 4: intra-cell snapshots. On a journal-enabled daemon the
-	// target cell checkpoints its verified replay state every
-	// SnapshotEvery events, and a journaled snapshot from a crashed
-	// attempt fast-forwards this one mid-cell.
-	if ck != nil && s.cfg.SnapshotEvery > 0 {
-		o.SnapshotEvery = s.cfg.SnapshotEvery
-		o.OnSnapshot = func(cid experiments.CellID, state []byte) {
-			ck.recordSnap(cid, state)
-			s.snapsTaken.Add(1)
-		}
-	}
-	resumed := false
-	if snap, ok := ck.lookupSnap(id); ok {
-		o.ResumeSnapshot = func(experiments.CellID) []byte {
-			resumed = true
-			return snap
-		}
-	}
-	res, err := experiments.RunCellWarm(sp.Experiment, o, id, prior)
-	if resumed && err != nil && errors.Is(err, diskthru.ErrSnapshotResume) {
-		// The journaled snapshot no longer verifies bit-for-bit (version
-		// skew, torn record): a warm-start miss, not a job failure. Run
-		// the cell cold.
-		s.snapMismatch.Add(1)
-		resumed = false
-		o.ResumeSnapshot = nil
-		res, err = experiments.RunCellWarm(sp.Experiment, o, id, prior)
-	}
+	payload, err := experiments.RunCellExec(sp.Experiment, o, *sp.Cell,
+		func(id experiments.CellID, run func() ([]byte, error), inject func([]byte) error) error {
+			if p, ok := ck.lookup(id); ok && inject(p) == nil {
+				ck.replayed()
+				return nil
+			}
+			if p, ok := s.cache.getPayload(key); ok && inject(p) == nil {
+				ck.recordCell(id, p) // durable for this job
+				return nil
+			}
+			p, err := run()
+			if err != nil {
+				return err
+			}
+			ck.recordCell(id, p)
+			s.cache.addPayload(key, p)
+			return nil
+		})
 	if err != nil {
 		return "", err
 	}
-	if resumed {
-		s.snapVerified.Add(1)
-	}
-	s.phaseInjected.Add(int64(res.PhaseCellsInjected))
-	s.phaseResimulated.Add(int64(res.PhaseCellsSimulated))
-	ck.recordCell(id, res.Payload)
-	s.cache.addPayload(key, res.Payload)
-	return base64.StdEncoding.EncodeToString(res.Payload), nil
+	return base64.StdEncoding.EncodeToString(payload), nil
 }
 
 // payloadKey is the content address of one cell result: the experiment,
 // the cell, and every resolved option that shapes the simulation.
-// Parallelism, Format, TimeoutSeconds, IdempotencyKey and PhaseResults
-// are deliberately excluded — none of them change the payload bytes
-// (phase injection is byte-identical by construction), so submissions
-// differing only in those still share one cache line.
+// Parallelism, Format, TimeoutSeconds and IdempotencyKey are
+// deliberately excluded — none of them change the payload bytes — so
+// submissions differing only in those still share one cache line.
 func payloadKey(sp Spec, o experiments.Options) string {
 	return fmt.Sprintf("%s|%s|syn=%d|web=%g|proxy=%g|file=%g|seed=%d|stream=%t",
 		sp.Experiment, sp.Cell, o.SynRequests, o.WebScale, o.ProxyScale,
@@ -604,7 +544,7 @@ func (s *Server) execute(j *job) {
 
 	var ck *Checkpoint
 	if s.jnl != nil {
-		ck = &Checkpoint{s: s, j: j, have: j.checkpoint, snaps: j.snapshots}
+		ck = &Checkpoint{s: s, j: j, have: j.checkpoint}
 	}
 	result, err := s.runJob(ctx, j, ck)
 	if err == nil && ctx.Err() == context.DeadlineExceeded {
@@ -626,12 +566,6 @@ func (s *Server) execute(j *job) {
 		j.state = StateDone
 		j.result = result
 		s.done++
-		sum, ok := s.perExp[j.spec.Experiment]
-		if !ok {
-			sum = &stats.Summary{}
-			s.perExp[j.spec.Experiment] = sum
-		}
-		sum.Observe(wall)
 		s.jobDur.With(j.spec.Experiment).Observe(wall)
 		_ = s.appendRecord(record{Type: "done", Job: j.id, At: j.finished, Result: result})
 		j.log.Info("job done", "seconds", wall)
@@ -687,51 +621,4 @@ func (s *Server) jobContext(sp Spec) (context.Context, context.CancelFunc, time.
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return ctx, cancel, 0
-}
-
-// Metrics renders the daemon's counters in the legacy plain listing —
-// one `name{labels} value` per line, no HELP/TYPE metadata — the format
-// /metrics spoke before the Prometheus registry existed. It is served
-// at /metrics?format=legacy for scrapers pinned to the old names and is
-// frozen: new series go in the registry (see initMetrics), not here.
-func (s *Server) Metrics() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var sb strings.Builder
-	p := func(format string, args ...any) { fmt.Fprintf(&sb, format, args...) }
-	p("diskthru_jobs_submitted_total %d\n", s.submitted)
-	p("diskthru_jobs_rejected_total{reason=\"queue_full\"} %d\n", s.rejectedFull)
-	p("diskthru_jobs_rejected_total{reason=\"draining\"} %d\n", s.rejectedDraining)
-	p("diskthru_jobs_total{state=\"done\"} %d\n", s.done)
-	p("diskthru_jobs_total{state=\"failed\"} %d\n", s.failed)
-	p("diskthru_jobs_total{state=\"canceled\"} %d\n", s.canceled)
-	p("diskthru_jobs_running %d\n", s.running)
-	p("diskthru_queue_depth %d\n", len(s.queue))
-	p("diskthru_queue_capacity %d\n", s.cfg.QueueCap)
-	draining := 0
-	if s.draining {
-		draining = 1
-	}
-	p("diskthru_draining %d\n", draining)
-	names := make([]string, 0, len(s.perExp))
-	for name := range s.perExp {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		sum := s.perExp[name]
-		for _, st := range []struct {
-			stat string
-			v    float64
-		}{
-			{"count", float64(sum.N())},
-			{"mean", sum.Mean()},
-			{"min", sum.Min()},
-			{"max", sum.Max()},
-			{"stddev", sum.StdDev()},
-		} {
-			p("diskthru_job_seconds{experiment=%q,stat=%q} %g\n", name, st.stat, st.v)
-		}
-	}
-	return sb.String()
 }

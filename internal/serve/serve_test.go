@@ -208,7 +208,7 @@ func TestBackpressure32Over8(t *testing.T) {
 	if rejected != n-accepted {
 		t.Fatalf("accepted %d + rejected %d != %d", accepted, rejected, n)
 	}
-	if !strings.Contains(h.srv.Metrics(), "diskthru_queue_capacity 8") {
+	if !strings.Contains(scrape(t, h.srv), "\ndiskthru_queue_capacity 8\n") {
 		t.Fatal("metrics missing queue capacity")
 	}
 	release()
@@ -405,7 +405,7 @@ func TestPanickingJobFailsWithoutKillingDaemon(t *testing.T) {
 	if v.State != StateDone {
 		t.Fatalf("post-panic job ended %s: %s", v.State, v.Error)
 	}
-	if !strings.Contains(h.srv.Metrics(), `diskthru_jobs_total{state="failed"} 1`) {
+	if !strings.Contains(scrape(t, h.srv), `diskthru_jobs_finished_total{state="failed"} 1`) {
 		t.Fatal("metrics did not count the panicked job as failed")
 	}
 }
@@ -513,11 +513,11 @@ func TestListHealthzMetrics(t *testing.T) {
 	release()
 	h.await(first.ID, 10*time.Second, terminal)
 	h.await(second.ID, 10*time.Second, terminal)
-	m := h.srv.Metrics()
+	m := scrape(t, h.srv)
 	for _, want := range []string{
 		"diskthru_jobs_submitted_total 2",
-		`diskthru_jobs_total{state="done"} 2`,
-		`diskthru_job_seconds{experiment="fig1",stat="count"} 1`,
+		`diskthru_jobs_finished_total{state="done"} 2`,
+		`diskthru_job_duration_seconds_count{experiment="fig1"} 1`,
 		"diskthru_jobs_running 0",
 		"diskthru_queue_depth 0",
 	} {

@@ -49,7 +49,7 @@ func decodeResult(t *testing.T, v View) []byte {
 // simulation.
 func TestPayloadCacheServesResubmission(t *testing.T) {
 	h := newHarness(t, Config{QueueCap: 4})
-	sp := tinyCellSpec("degraded", experiments.CellID{Phase: 0, Index: 0})
+	sp := tinyCellSpec("degraded", experiments.CellID{Index: 0})
 	v1 := h.await(h.submit(sp).ID, time.Minute, terminal)
 	if v1.State != StateDone {
 		t.Fatalf("first cell job ended %s: %s", v1.State, v1.Error)
@@ -73,81 +73,47 @@ func TestPayloadCacheServesResubmission(t *testing.T) {
 	}
 }
 
-// TestPhaseInjectionOverAPI: a later-phase cell job carrying the
-// earlier phase's payloads must inject all of them (zero re-simulated)
-// and still return exactly the bytes a cold local run produces.
-func TestPhaseInjectionOverAPI(t *testing.T) {
-	target := experiments.CellID{Phase: 1, Index: 0}
-	sp := tinyCellSpec("degraded", target)
-	o := sp.options()
-	for i := 0; i < 3; i++ {
-		cell := experiments.CellID{Phase: 0, Index: i}
-		payload, err := experiments.RunCell("degraded", o, cell)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp.PhaseResults = append(sp.PhaseResults, CellPayload{Cell: cell, Payload: payload})
-	}
-
-	h := newHarness(t, Config{QueueCap: 4})
-	v := h.await(h.submit(sp).ID, time.Minute, terminal)
-	if v.State != StateDone {
-		t.Fatalf("warm cell job ended %s: %s", v.State, v.Error)
-	}
-	if n := h.srv.phaseResimulated.Load(); n != 0 {
-		t.Errorf("%d earlier-phase cells re-simulated despite injected payloads", n)
-	}
-	if n := h.srv.phaseInjected.Load(); n != 3 {
-		t.Errorf("phase cells injected = %d, want 3", n)
-	}
-	cold := sp
-	cold.PhaseResults = nil
-	if got := string(decodeResult(t, v)); got != string(tinyCellPayload(t, cold)) {
-		t.Error("injected-phase result differs from cold local run")
-	}
-
-	// The benchmark baseline switch forces the replay path even with
-	// payloads attached.
-	h2 := newHarness(t, Config{QueueCap: 4, DisablePhaseInjection: true})
-	v2 := h2.await(h2.submit(sp).ID, time.Minute, terminal)
-	if v2.State != StateDone {
-		t.Fatalf("replay-mode cell job ended %s: %s", v2.State, v2.Error)
-	}
-	if n := h2.srv.phaseInjected.Load(); n != 0 {
-		t.Errorf("DisablePhaseInjection still injected %d cells", n)
-	}
-	if n := h2.srv.phaseResimulated.Load(); n != 3 {
-		t.Errorf("replay mode re-simulated %d cells, want 3", n)
-	}
-	if v2.Result != v.Result {
-		t.Error("replayed and injected results differ")
-	}
-}
-
-// TestPhaseResultsValidation: malformed phase_results are rejected at
-// admission, not discovered mid-run.
+// TestPhaseResultsValidation: phase_results and cell.phase were spec
+// fields of older daemons. Every body that used them, well-formed or
+// not, is now refused as an unknown field rather than run.
 func TestPhaseResultsValidation(t *testing.T) {
 	h := newHarness(t, Config{QueueCap: 4})
 	for name, body := range map[string]map[string]any{
 		"without cell": {
 			"experiment":    "degraded",
-			"phase_results": []map[string]any{{"cell": map[string]int{"phase": 0, "index": 0}, "payload": "eA=="}},
+			"phase_results": []map[string]any{{"cell": map[string]int{"index": 0}, "payload": "eA=="}},
 		},
-		"same phase": {
+		"with cell": {
 			"experiment":    "degraded",
-			"cell":          map[string]int{"phase": 1, "index": 0},
-			"phase_results": []map[string]any{{"cell": map[string]int{"phase": 1, "index": 1}, "payload": "eA=="}},
+			"cell":          map[string]int{"index": 0},
+			"phase_results": []map[string]any{{"cell": map[string]int{"index": 0}, "payload": "eA=="}},
 		},
 		"empty payload": {
 			"experiment":    "degraded",
-			"cell":          map[string]int{"phase": 1, "index": 0},
-			"phase_results": []map[string]any{{"cell": map[string]int{"phase": 0, "index": 0}, "payload": ""}},
+			"cell":          map[string]int{"index": 0},
+			"phase_results": []map[string]any{{"cell": map[string]int{"index": 0}, "payload": ""}},
+		},
+		"cell phase": {
+			"experiment": "degraded",
+			"cell":       map[string]int{"phase": 1, "index": 0},
 		},
 	} {
 		status, _, raw := h.request("POST", "/v1/jobs", body)
 		if status != http.StatusBadRequest {
-			t.Errorf("phase_results %s: status %d (%s), want 400", name, status, raw)
+			t.Errorf("%s: status %d (%s), want 400", name, status, raw)
 		}
+		if !strings.Contains(string(raw), "unknown field") {
+			t.Errorf("%s: error %s does not name the unknown field", name, raw)
+		}
+	}
+	var index []IndexEntry
+	if status, _, raw := h.request("GET", "/v1/jobs", nil); status != http.StatusOK {
+		t.Fatalf("list: status %d (%s)", status, raw)
+	} else if err := json.Unmarshal(raw, &index); err != nil {
+		t.Fatal(err)
+	}
+	if len(index) != 0 {
+		t.Errorf("refused submissions left jobs behind: %+v", index)
 	}
 }
 
@@ -200,112 +166,5 @@ func TestListStateFilter(t *testing.T) {
 	}
 	if status, _, raw := h.request("GET", "/v1/jobs?state=exploded", nil); status != http.StatusBadRequest {
 		t.Errorf("bad state: status %d (%s), want 400", status, raw)
-	}
-}
-
-// TestCellJobSnapshotsJournaled: on a journal-enabled daemon with
-// SnapshotEvery set, a running cell journals intra-cell snapshots and
-// the result stays byte-identical to a snapshot-free run.
-func TestCellJobSnapshotsJournaled(t *testing.T) {
-	dir := t.TempDir()
-	h := newHarness(t, Config{QueueCap: 4, StateDir: dir, SnapshotEvery: 2000})
-	sp := tinyCellSpec("degraded", experiments.CellID{Phase: 0, Index: 0})
-	v := h.await(h.submit(sp).ID, time.Minute, terminal)
-	if v.State != StateDone {
-		t.Fatalf("cell job ended %s: %s", v.State, v.Error)
-	}
-	if n := h.srv.snapsTaken.Load(); n == 0 {
-		t.Error("no intra-cell snapshots journaled")
-	}
-	if got := string(decodeResult(t, v)); got != string(tinyCellPayload(t, sp)) {
-		t.Error("snapshotting changed the cell payload")
-	}
-	out := scrape(t, h.srv)
-	if !strings.Contains(out, "serve_snapshots_taken_total") {
-		t.Error("serve_snapshots_taken_total not scraped")
-	}
-}
-
-// TestSnapshotResumeAcrossRestart crafts the journal a crashed daemon
-// would leave — an unfinished cell job plus one mid-cell snapshot — and
-// requires the next boot to fast-forward from it: one verified restore
-// on the metrics surface and a payload byte-identical to a cold run.
-func TestSnapshotResumeAcrossRestart(t *testing.T) {
-	sp := tinyCellSpec("degraded", experiments.CellID{Phase: 0, Index: 0})
-	// Capture a genuine mid-cell snapshot in-process.
-	var snap []byte
-	o := sp.options()
-	o.SnapshotEvery = 2000
-	o.OnSnapshot = func(_ experiments.CellID, state []byte) {
-		if snap == nil {
-			snap = append([]byte(nil), state...)
-		}
-	}
-	res, err := experiments.RunCellWarm(sp.Experiment, o, *sp.Cell, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap == nil {
-		t.Fatal("cell produced no snapshot; lower SnapshotEvery")
-	}
-	want := base64.StdEncoding.EncodeToString(res.Payload)
-
-	cid := *sp.Cell
-	dir := t.TempDir()
-	writeRecords(t, dir, []record{
-		{Type: "submit", Job: "j000001", Spec: &sp, SubmittedAt: time.Now()},
-		{Type: "start", Job: "j000001", At: time.Now()},
-		{Type: "snap", Job: "j000001", Cell: &cid, Payload: snap},
-	})
-	s, err := New(Config{QueueCap: 4, StateDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer drainNow(t, s)
-	v := awaitJob(t, s, "j000001", time.Minute, terminal)
-	if v.State != StateDone {
-		t.Fatalf("recovered cell job ended %s: %s", v.State, v.Error)
-	}
-	if n := s.snapVerified.Load(); n != 1 {
-		t.Errorf("verified snapshot restores = %d, want 1", n)
-	}
-	if v.Result != want {
-		t.Error("resumed payload differs from uninterrupted run")
-	}
-	out := scrape(t, s)
-	if !strings.Contains(out, `serve_snapshot_restores_total{result="verified"} 1`) {
-		t.Error("verified restore not on the metrics surface")
-	}
-}
-
-// TestSnapshotMismatchFallsBackCold: a snapshot that no longer verifies
-// (corruption, version skew) must cost only the warm start — the cell
-// re-runs cold, the job succeeds, and the mismatch is counted.
-func TestSnapshotMismatchFallsBackCold(t *testing.T) {
-	sp := tinyCellSpec("degraded", experiments.CellID{Phase: 0, Index: 0})
-	cid := *sp.Cell
-	dir := t.TempDir()
-	writeRecords(t, dir, []record{
-		{Type: "submit", Job: "j000001", Spec: &sp, SubmittedAt: time.Now()},
-		{Type: "start", Job: "j000001", At: time.Now()},
-		{Type: "snap", Job: "j000001", Cell: &cid, Payload: []byte("not a snapshot")},
-	})
-	s, err := New(Config{QueueCap: 4, StateDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer drainNow(t, s)
-	v := awaitJob(t, s, "j000001", time.Minute, terminal)
-	if v.State != StateDone {
-		t.Fatalf("job with corrupt snapshot ended %s: %s", v.State, v.Error)
-	}
-	if n := s.snapMismatch.Load(); n != 1 {
-		t.Errorf("snapshot mismatches = %d, want 1", n)
-	}
-	if n := s.snapVerified.Load(); n != 0 {
-		t.Errorf("verified restores = %d, want 0", n)
-	}
-	if got := string(decodeResult(t, v)); got != string(tinyCellPayload(t, sp)) {
-		t.Error("cold fallback payload differs from plain run")
 	}
 }

@@ -219,41 +219,6 @@ func (s *Simulator) Run() Time {
 	}
 }
 
-// RunEvents fires events until the cumulative processed count
-// (Processed) reaches target, leaving later events queued, and reports
-// whether the target was reached before the queue drained. It is the
-// exact fast-forward primitive of snapshot restore: a rebuilt,
-// deterministic replay advanced with RunEvents(st.Events) lands on
-// precisely the snapshot's event boundary, whatever the batch size the
-// original run's progress hooks used. Cancellation and progress hooks
-// are honored on the same cancelCheckEvery cadence as Run, plus a final
-// progress report at the stop point; a cancelled fast-forward returns
-// false with Cancelled set.
-func (s *Simulator) RunEvents(target uint64) bool {
-	for s.ran < target {
-		n := target - s.ran
-		if n > cancelCheckEvery {
-			n = cancelCheckEvery
-		}
-		for i := uint64(0); i < n; i++ {
-			if !s.Step() {
-				s.notifyProgress()
-				return false
-			}
-		}
-		s.notifyProgress()
-		if s.cancel != nil {
-			select {
-			case <-s.cancel:
-				s.cancelled = true
-				return false
-			default:
-			}
-		}
-	}
-	return true
-}
-
 // RunUntil fires events with timestamps <= deadline, leaving later
 // events queued, and advances the clock to deadline if the queue drains
 // early. It honors SetCancel exactly like Run — polling every

@@ -27,15 +27,18 @@ race:
 # Short fuzz budgets over three untrusted input surfaces — trace files,
 # fault-profile JSON, and the gob cell payloads that arrive from remote
 # daemons and journals (decoding must never panic and must refuse a
-# payload tagged for another slot type) — plus one equivalence
-# property: the calendar queue must pop in exactly the reference heap's
-# (time, seq) order on adversarial schedules. Go runs one fuzz target
-# per invocation.
+# payload tagged for another slot type) — plus two equivalence
+# properties: the calendar queue must pop in exactly the reference
+# heap's (time, seq) order on adversarial schedules, and the
+# run-granular controller caches must answer every query exactly as
+# their block-at-a-time references do. Go runs one fuzz target per
+# invocation.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzParseProfile$$' -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzCalendarQueueEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzDecodeSlot$$' -fuzztime 10s
+	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheEquivalence$$' -fuzztime 10s
 
 # Three passes over every benchmark at Quick scale; benchjson keeps the
 # fastest run of each, and the parsed numbers land in BENCH_quick.json

@@ -13,13 +13,18 @@
 // All addresses are per-disk physical block numbers. None of these types
 // hold data; the simulator only tracks residency.
 //
-// Residency indices are open-addressed int64 tables (internal/intmap)
-// rather than Go maps: every request probes the index once per block,
-// which made map hashing the single hottest path in replay profiles.
-// The index storage is pooled across replay cells via Release.
+// Residency is kept at the granularity each organization naturally
+// has. A SegmentStore holds a few dozen contiguous runs, so it keeps
+// them in one sorted run table: inserting a segment costs O(runs), not
+// a hash operation per block. An HDCRegion is a sorted block slice, so
+// the disk asks it range questions (FirstPinned, AllPinned) instead of
+// probing block by block. Only the BlockStore, whose residents really
+// are scattered single blocks, indexes them in an open-addressed int64
+// table (internal/intmap), pooled across replay cells via Release.
 package cache
 
 import (
+	"slices"
 	"sync"
 
 	"diskthru/internal/intmap"
@@ -58,23 +63,26 @@ func Snap(s Store) Snapshot {
 	return Snapshot{Len: s.Len(), Capacity: s.Capacity(), Evictions: s.Evictions()}
 }
 
-// slotPool recycles block -> slot index tables across replay cells.
-var slotPool intmap.Pool[int32]
-
 // ---- Segment store ---------------------------------------------------------
 
-type segment struct {
-	blocks []int64 // resident block addresses, in insertion order
-	lru    uint64  // last-use stamp
+// run is a block range [start, end) resident in segment seg.
+type run struct {
+	start, end int64
+	seg        int32
 }
 
 // SegmentStore is the conventional segment-based controller cache: up to
 // NumSegments streams, whole-segment LRU replacement, at most
 // SegmentBlocks blocks per segment.
+//
+// Residency is one table of disjoint runs sorted by start address. A
+// segment owns one run when filled; a newer segment that re-reads some
+// of its blocks takes them over, which trims or splits the older run.
 type SegmentStore struct {
 	segBlocks int
-	segs      []segment
-	index     *intmap.Map[int32] // block -> segment slot
+	lru       []uint64 // per-segment last-use stamp
+	runs      []run    // disjoint, sorted by start
+	n         int      // resident blocks
 	clock     uint64
 	evicted   uint64
 }
@@ -87,8 +95,8 @@ func NewSegmentStore(numSegments, segmentBlocks int) *SegmentStore {
 	}
 	return &SegmentStore{
 		segBlocks: segmentBlocks,
-		segs:      make([]segment, numSegments),
-		index:     slotPool.Get(numSegments * segmentBlocks),
+		lru:       make([]uint64, numSegments),
+		runs:      make([]run, 0, 2*numSegments),
 	}
 }
 
@@ -96,40 +104,60 @@ func NewSegmentStore(numSegments, segmentBlocks int) *SegmentStore {
 func (s *SegmentStore) Name() string { return "segment" }
 
 // Capacity implements Store.
-func (s *SegmentStore) Capacity() int { return len(s.segs) * s.segBlocks }
+func (s *SegmentStore) Capacity() int { return len(s.lru) * s.segBlocks }
 
 // Len implements Store.
-func (s *SegmentStore) Len() int { return s.index.Len() }
+func (s *SegmentStore) Len() int { return s.n }
 
 // Evictions implements Store.
 func (s *SegmentStore) Evictions() uint64 { return s.evicted }
 
 // NumSegments reports the segment count.
-func (s *SegmentStore) NumSegments() int { return len(s.segs) }
+func (s *SegmentStore) NumSegments() int { return len(s.lru) }
 
-// Release implements Store: the index table goes back to the pool.
-func (s *SegmentStore) Release() {
-	slotPool.Put(s.index)
-	s.index = nil
+// Release implements Store. The run table is small and not pooled.
+func (s *SegmentStore) Release() {}
+
+// search returns the index of the first run that ends after lba.
+func (s *SegmentStore) search(lba int64) int {
+	lo, hi := 0, len(s.runs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.runs[m].end <= lba {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// owner reports the segment holding lba, or -1.
+func (s *SegmentStore) owner(lba int64) int32 {
+	if i := s.search(lba); i < len(s.runs) && s.runs[i].start <= lba {
+		return s.runs[i].seg
+	}
+	return -1
 }
 
 // Contains implements Store.
 func (s *SegmentStore) Contains(lba int64) bool {
-	return s.index.Contains(lba)
+	return s.owner(lba) >= 0
 }
 
 // Touch implements Store.
 func (s *SegmentStore) Touch(lba int64) {
-	if slot, ok := s.index.Get(lba); ok {
+	if seg := s.owner(lba); seg >= 0 {
 		s.clock++
-		s.segs[slot].lru = s.clock
+		s.lru[seg] = s.clock
 	}
 }
 
 // Insert implements Store. The incoming run is treated as a new stream:
 // it takes over the least-recently-used segment, evicting that segment's
 // entire previous contents (the paper's whole-victim replacement). Runs
-// longer than a segment are truncated to the segment size.
+// longer than a segment are truncated to the segment size. Blocks the
+// new run shares with other segments move to it.
 func (s *SegmentStore) Insert(lba int64, count int) {
 	if count <= 0 {
 		return
@@ -137,29 +165,51 @@ func (s *SegmentStore) Insert(lba int64, count int) {
 	if count > s.segBlocks {
 		count = s.segBlocks
 	}
-	victim := int32(0)
-	for i := 1; i < len(s.segs); i++ {
-		if s.segs[i].lru < s.segs[victim].lru {
-			victim = int32(i)
+	victim, oldest := int32(0), s.lru[0]
+	for i, t := range s.lru {
+		if t < oldest {
+			victim, oldest = int32(i), t
 		}
 	}
-	seg := &s.segs[victim]
-	for _, b := range seg.blocks {
-		// A block may have been re-indexed into a newer segment; only
-		// drop the mapping if it still points at the victim.
-		if slot, _ := s.index.Get(b); slot == victim {
-			s.index.Delete(b)
-			s.evicted++
+	// Drop the victim's runs.
+	w := 0
+	for i, r := range s.runs {
+		if r.seg == victim {
+			s.n -= int(r.end - r.start)
+			s.evicted += uint64(r.end - r.start)
+			continue
 		}
+		if w != i {
+			s.runs[w] = r
+		}
+		w++
 	}
-	seg.blocks = seg.blocks[:0]
-	for i := 0; i < count; i++ {
-		b := lba + int64(i)
-		seg.blocks = append(seg.blocks, b)
-		s.index.Put(b, victim)
+	s.runs = s.runs[:w]
+	// Replace the runs the new one overlaps, runs[i:j], with what is
+	// left of the first and last of them around the new run.
+	end := lba + int64(count)
+	i := s.search(lba)
+	j := i
+	for ; j < len(s.runs) && s.runs[j].start < end; j++ {
+		r := s.runs[j]
+		s.n -= int(min(r.end, end) - max(r.start, lba))
 	}
+	var pieces [3]run
+	k := 0
+	if i < j && s.runs[i].start < lba {
+		pieces[k] = run{s.runs[i].start, lba, s.runs[i].seg}
+		k++
+	}
+	pieces[k] = run{lba, end, victim}
+	k++
+	if i < j && s.runs[j-1].end > end {
+		pieces[k] = run{end, s.runs[j-1].end, s.runs[j-1].seg}
+		k++
+	}
+	s.runs = slices.Replace(s.runs, i, j, pieces[:k]...)
+	s.n += count
 	s.clock++
-	seg.lru = s.clock
+	s.lru[victim] = s.clock
 }
 
 // ---- Block store -----------------------------------------------------------
@@ -182,6 +232,9 @@ func (p EvictPolicy) String() string {
 	}
 	return "LRU"
 }
+
+// slotPool recycles block -> node index tables across replay cells.
+var slotPool intmap.Pool[int32]
 
 // nilNode terminates the recency and free lists.
 const nilNode = int32(-1)
@@ -323,17 +376,32 @@ func (s *BlockStore) Touch(lba int64) {
 // first; when the pool is full, a victim is chosen by the eviction
 // policy. Under MRU the victim is the most recently used block other
 // than those inserted by this same call, so a long read-ahead cannot
-// evict its own head.
+// evict its own head. Only when every resident block belongs to the
+// run does MRU fall back to the tail.
 func (s *BlockStore) Insert(lba int64, count int) {
+	// The blocks this call has placed are always exactly the head of
+	// the recency list; behind is the first node after them, which is
+	// the MRU victim.
+	behind := s.head
 	for i := 0; i < count; i++ {
 		b := lba + int64(i)
 		if n, ok := s.index.Get(b); ok {
+			if n == behind {
+				behind = s.nodes[n].next
+			}
 			s.unlink(n)
 			s.pushFront(n)
 			continue
 		}
 		if s.index.Len() >= s.capacity {
-			s.evictOne(lba, i)
+			victim := s.tail
+			if s.policy == EvictMRU && behind != nilNode {
+				victim = behind
+			}
+			if victim == behind {
+				behind = s.nodes[victim].next
+			}
+			s.evict(victim)
 		}
 		n := s.alloc(b)
 		s.index.Put(b, n)
@@ -341,43 +409,24 @@ func (s *BlockStore) Insert(lba int64, count int) {
 	}
 }
 
-// evictOne removes one block. runStart/len identify the in-flight run so
-// MRU can skip blocks it just inserted.
-func (s *BlockStore) evictOne(runStart int64, runLen int) {
-	victim := nilNode
-	switch s.policy {
-	case EvictMRU:
-		for n := s.head; n != nilNode; n = s.nodes[n].next {
-			if lba := s.nodes[n].lba; lba >= runStart && lba < runStart+int64(runLen) {
-				continue
-			}
-			victim = n
-			break
-		}
-		if victim == nilNode {
-			victim = s.tail
-		}
-	default: // EvictLRU
-		victim = s.tail
-	}
-	s.unlink(victim)
-	s.index.Delete(s.nodes[victim].lba)
-	s.nodes[victim].next = s.free
-	s.free = victim
+// evict removes node n and returns it to the free list.
+func (s *BlockStore) evict(n int32) {
+	s.unlink(n)
+	s.index.Delete(s.nodes[n].lba)
+	s.nodes[n].next = s.free
+	s.free = n
 	s.evicted++
 }
 
 // ---- HDC region -------------------------------------------------------------
-
-// dirtyPool recycles pinned-set tables across replay cells.
-var dirtyPool intmap.Pool[bool]
 
 // HDCRegion is the host-managed, pinned portion of a controller cache.
 // Pinned blocks are never replaced; dirty pinned blocks accumulate until
 // the host issues flush_hdc.
 type HDCRegion struct {
 	capacity int
-	pinned   *intmap.Map[bool] // block -> dirty
+	blocks   []int64 // pinned blocks, ascending
+	dirty    []bool  // dirty[i] belongs to blocks[i]
 }
 
 // NewHDCRegion returns a region able to pin capacity blocks. A zero
@@ -386,74 +435,107 @@ func NewHDCRegion(capacity int) *HDCRegion {
 	if capacity < 0 {
 		panic("cache: negative HDC capacity")
 	}
-	return &HDCRegion{capacity: capacity, pinned: dirtyPool.Get(capacity)}
+	return &HDCRegion{
+		capacity: capacity,
+		blocks:   make([]int64, 0, capacity),
+		dirty:    make([]bool, 0, capacity),
+	}
 }
 
 // Capacity reports the maximum number of pinned blocks.
 func (h *HDCRegion) Capacity() int { return h.capacity }
 
 // Len reports currently pinned blocks.
-func (h *HDCRegion) Len() int { return h.pinned.Len() }
+func (h *HDCRegion) Len() int { return len(h.blocks) }
 
-// Release returns the pinned-set table to the pool. The region must not
-// be used afterwards.
-func (h *HDCRegion) Release() {
-	dirtyPool.Put(h.pinned)
-	h.pinned = nil
+// search returns the index of the first pinned block >= lba, and
+// whether that block is lba itself.
+func (h *HDCRegion) search(lba int64) (int, bool) {
+	lo, hi := 0, len(h.blocks)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if h.blocks[m] < lba {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(h.blocks) && h.blocks[lo] == lba
 }
 
 // Contains reports whether the block is pinned.
 func (h *HDCRegion) Contains(lba int64) bool {
-	return h.pinned.Contains(lba)
+	_, ok := h.search(lba)
+	return ok
+}
+
+// FirstPinned reports the offset of the first pinned block in
+// [lba, lba+n), or n if none of them is pinned.
+func (h *HDCRegion) FirstPinned(lba int64, n int) int {
+	i, _ := h.search(lba)
+	if i < len(h.blocks) && h.blocks[i] < lba+int64(n) {
+		return int(h.blocks[i] - lba)
+	}
+	return n
+}
+
+// AllPinned reports whether every block of [lba, lba+n) is pinned.
+func (h *HDCRegion) AllPinned(lba int64, n int) bool {
+	if n <= 0 {
+		return true
+	}
+	// The pinned blocks are distinct and ascending, so the range is
+	// covered exactly when its first and last blocks sit n-1 apart.
+	i, ok := h.search(lba)
+	last := i + n - 1
+	return ok && last < len(h.blocks) && h.blocks[last] == lba+int64(n-1)
 }
 
 // Pin implements pin_blk: it marks the block non-replaceable. It reports
 // false when the region is full or the block is already pinned.
 func (h *HDCRegion) Pin(lba int64) bool {
-	if h.pinned.Contains(lba) {
+	i, ok := h.search(lba)
+	if ok || len(h.blocks) >= h.capacity {
 		return false
 	}
-	if h.pinned.Len() >= h.capacity {
-		return false
-	}
-	h.pinned.Put(lba, false)
+	h.blocks = slices.Insert(h.blocks, i, lba)
+	h.dirty = slices.Insert(h.dirty, i, false)
 	return true
 }
 
 // Unpin implements unpin_blk. It reports whether the block was pinned,
 // and whether it was dirty (the caller must then write it back).
 func (h *HDCRegion) Unpin(lba int64) (was, dirty bool) {
-	d, ok := h.pinned.Get(lba)
+	i, ok := h.search(lba)
 	if !ok {
 		return false, false
 	}
-	h.pinned.Delete(lba)
-	return true, d
+	dirty = h.dirty[i]
+	h.blocks = slices.Delete(h.blocks, i, i+1)
+	h.dirty = slices.Delete(h.dirty, i, i+1)
+	return true, dirty
 }
 
 // MarkDirty records a write absorbed by a pinned block. It reports false
 // if the block is not pinned.
 func (h *HDCRegion) MarkDirty(lba int64) bool {
-	if !h.pinned.Contains(lba) {
-		return false
+	i, ok := h.search(lba)
+	if ok {
+		h.dirty[i] = true
 	}
-	h.pinned.Put(lba, true)
-	return true
+	return ok
 }
 
-// Flush implements flush_hdc: it returns the sorted-iteration-free list
-// of dirty pinned blocks and clears their dirty flags. The caller
-// schedules the actual media writes.
+// Flush implements flush_hdc: it returns the dirty pinned blocks in
+// ascending order and clears their dirty flags. The caller schedules
+// the actual media writes.
 func (h *HDCRegion) Flush() []int64 {
 	var dirty []int64
-	h.pinned.Range(func(b int64, d bool) bool {
+	for i, d := range h.dirty {
 		if d {
-			dirty = append(dirty, b)
+			dirty = append(dirty, h.blocks[i])
+			h.dirty[i] = false
 		}
-		return true
-	})
-	for _, b := range dirty {
-		h.pinned.Put(b, false)
 	}
 	return dirty
 }
@@ -461,11 +543,10 @@ func (h *HDCRegion) Flush() []int64 {
 // DirtyCount reports how many pinned blocks are currently dirty.
 func (h *HDCRegion) DirtyCount() int {
 	n := 0
-	h.pinned.Range(func(_ int64, d bool) bool {
+	for _, d := range h.dirty {
 		if d {
 			n++
 		}
-		return true
-	})
+	}
 	return n
 }

@@ -88,6 +88,24 @@ func TestSegmentStoreReinsertSameBlocks(t *testing.T) {
 	}
 }
 
+// Evicting a segment counts only the blocks it still holds: blocks a
+// newer segment took over, and that left with it, are not displaced a
+// second time, even when the victim is slot 0.
+func TestSegmentStoreEvictionCountsLiveBlocks(t *testing.T) {
+	s := NewSegmentStore(2, 16)
+	s.Insert(0, 10)   // slot 0 holds 0-9
+	s.Insert(5, 10)   // slot 1 takes over 5-9 and adds 10-14
+	s.Touch(0)        // slot 0 (now 0-4) becomes most recent
+	s.Insert(100, 10) // evicts slot 1: 10 blocks
+	s.Insert(200, 10) // evicts slot 0: 5 blocks
+	if got := s.Evictions(); got != 15 {
+		t.Fatalf("Evictions = %d, want 15", got)
+	}
+	if s.Len() != 20 {
+		t.Fatalf("Len = %d, want 20", s.Len())
+	}
+}
+
 func TestSegmentStoreZeroCountNoop(t *testing.T) {
 	s := NewSegmentStore(2, 4)
 	s.Insert(0, 0)

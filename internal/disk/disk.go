@@ -301,13 +301,12 @@ func New(s *sim.Simulator, b *bus.Bus, id int, cfg Config) (*Disk, error) {
 // Stats returns a copy of the drive's counters.
 func (d *Disk) Stats() Stats { return d.stats }
 
-// Release returns the drive's pooled cache-index storage (store and
-// HDC region tables) for reuse by the next replay cell. Call once the
-// replay has drained; the drive must not be used afterwards.
+// Release returns the drive's pooled cache-index storage for reuse by
+// the next replay cell. Call once the replay has drained; the drive
+// must not be used afterwards.
 func (d *Disk) Release() {
 	d.store.Release()
 	d.store = nil
-	d.hdc.Release()
 	d.hdc = nil
 }
 
@@ -410,11 +409,15 @@ func (d *Disk) segBlocks() int { return d.cfg.SegmentBytes / d.cfg.Geom.BlockSiz
 // resident reports whether every block of [pba, pba+n) can be served
 // from the controller (pinned region or store).
 func (d *Disk) resident(pba int64, n int) bool {
-	for i := 0; i < n; i++ {
-		b := pba + int64(i)
-		if !d.hdc.Contains(b) && !d.store.Contains(b) {
-			return false
+	for n > 0 {
+		k := d.hdc.FirstPinned(pba, n)
+		for i := 0; i < k; i++ {
+			if !d.store.Contains(pba + int64(i)) {
+				return false
+			}
 		}
+		pba += int64(k + 1)
+		n -= k + 1
 	}
 	return true
 }
@@ -423,12 +426,7 @@ func (d *Disk) resident(pba int64, n int) bool {
 // the HDC region — used by mirrored hosts to route reads to the replica
 // that can serve them without a media access.
 func (d *Disk) PinnedAll(pba int64, n int) bool {
-	for i := 0; i < n; i++ {
-		if !d.hdc.Contains(pba + int64(i)) {
-			return false
-		}
-	}
-	return true
+	return d.hdc.AllPinned(pba, n)
 }
 
 // touchRange refreshes recency for resident blocks.
@@ -654,35 +652,24 @@ func (d *Disk) readAheadCount(r Request) int {
 }
 
 // insertRead places media-read blocks into the store, skipping pinned
-// blocks (they are already resident and must not occupy pool space).
+// blocks (they are already resident and must not occupy pool space):
+// each maximal unpinned run is inserted on its own.
 func (d *Disk) insertRead(pba int64, count int) {
-	runStart := pba
-	runLen := 0
-	flush := func() {
-		if runLen > 0 {
-			d.store.Insert(runStart, runLen)
-			runLen = 0
+	for count > 0 {
+		k := d.hdc.FirstPinned(pba, count)
+		if k > 0 {
+			d.store.Insert(pba, k)
 		}
+		pba += int64(k + 1)
+		count -= k + 1
 	}
-	for i := 0; i < count; i++ {
-		b := pba + int64(i)
-		if d.hdc.Contains(b) {
-			flush()
-			runStart = b + 1
-			continue
-		}
-		if runLen == 0 {
-			runStart = b
-		}
-		runLen++
-	}
-	flush()
 }
 
 // FlushHDC writes all dirty pinned blocks back to media, as flush_hdc()
-// does, and fires done when the last one commits. Dirty blocks are
-// grouped into physically contiguous runs to model the coalesced
-// writeback an operating system would issue.
+// does, and fires done when the last one commits. Dirty blocks, which
+// Flush returns in ascending order, are grouped into physically
+// contiguous runs to model the coalesced writeback an operating system
+// would issue.
 func (d *Disk) FlushHDC(done sim.Event) {
 	dirty := d.hdc.Flush()
 	if len(dirty) == 0 {
@@ -691,7 +678,6 @@ func (d *Disk) FlushHDC(done sim.Event) {
 		}
 		return
 	}
-	sortInt64s(dirty)
 	remaining := 0
 	complete := func(sim.Time) {
 		remaining--
@@ -717,15 +703,5 @@ func (d *Disk) FlushHDC(done sim.Event) {
 		}
 		d.enqueue(req)
 		i = j
-	}
-}
-
-func sortInt64s(v []int64) {
-	// Insertion sort: flush lists are short and this avoids pulling in
-	// sort for a hot path that is not hot.
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
 	}
 }

@@ -18,7 +18,14 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from the curren
 // byte for byte in testdata/golden/<name>.txt. Every other equivalence
 // check in this package is relative (serial vs parallel, remote vs
 // local); these files catch a change that shifts every path at once.
-var goldenDrivers = []string{"degraded"}
+var goldenDrivers = []string{
+	"degraded",
+	"table2",
+	"fig9",
+	"ablation-for-eviction",
+	"ablation-segment-geometry",
+	"ext-victim",
+}
 
 // goldenSeeds are the Options.Seed values each golden file covers.
 var goldenSeeds = []int64{0, 7}

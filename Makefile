@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-compare bench-long fuzz profile serve-smoke fleet-smoke crash-smoke metrics-lint
+.PHONY: check vet build test race bench bench-compare bench-long fuzz profile results serve-smoke fleet-smoke crash-smoke metrics-lint
 
 check: vet build race fuzz metrics-lint serve-smoke fleet-smoke crash-smoke bench-long
 
@@ -24,10 +24,12 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# Short fuzz budgets over three untrusted input surfaces — trace files,
-# fault-profile JSON, and the gob cell payloads that arrive from remote
-# daemons and journals (decoding must never panic and must refuse a
-# payload tagged for another slot type) — plus two equivalence
+# Short fuzz budgets over four untrusted input surfaces — trace files,
+# fault-profile JSON, POST /v1/jobs bodies (decoding and validation must
+# never panic, and every accepted spec must resolve to valid experiment
+# options), and the gob cell payloads that arrive from remote daemons
+# and journals (decoding must never panic and must refuse a payload
+# tagged for another slot type) — plus two equivalence
 # properties: the calendar queue must pop in exactly the reference
 # heap's (time, seq) order on adversarial schedules, and the
 # run-granular controller caches must answer every query exactly as
@@ -36,6 +38,7 @@ race:
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzParseProfile$$' -fuzztime 10s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzSubmitSpec$$' -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzCalendarQueueEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzDecodeSlot$$' -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheEquivalence$$' -fuzztime 10s
@@ -69,6 +72,13 @@ bench-compare:
 # if the live heap after the long run exceeds the short one by > 10%.
 bench-long:
 	$(GO) test -bench '^BenchmarkLongRun$$' -benchmem -benchtime 1x -run '^$$' .
+
+# Regenerate results_default.txt: every registered experiment at the
+# committed Defaults scales, with per-experiment wall time. Tables are
+# deterministic; only the "(… took Ns)" lines change between runs.
+# TestResultsDefaultCoversRegistry fails when a driver is missing.
+results:
+	$(GO) run ./cmd/diskthru -all -time >results_default.txt
 
 # CPU and heap profiles of the Table 2 pipeline (the hottest full-system
 # path: all three workloads against both systems). Inspect with
@@ -161,6 +171,9 @@ serve-smoke:
 # through the coordinator, and require the merged table to be
 # byte-identical to a single-node `diskthru -j 1` run — the fleet's
 # central determinism guarantee, checked end to end with real processes.
+# Then scrape every daemon's /metrics and require the summed workload
+# hits of the warm cache to be positive: the sweep's own traffic must
+# reuse built workloads.
 fleet-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); \
@@ -168,6 +181,7 @@ fleet-smoke:
 	$(GO) build -o $$tmp/diskthrud ./cmd/diskthrud; \
 	$(GO) build -o $$tmp/diskthru ./cmd/diskthru; \
 	$(GO) build -o $$tmp/diskthru-fleet ./cmd/diskthru-fleet; \
+	$(GO) build -o $$tmp/diskthru-client ./cmd/diskthru-client; \
 	$$tmp/diskthrud -addr 127.0.0.1:0 -addr-file $$tmp/a1 >$$tmp/d1.log 2>&1 & p1=$$!; \
 	$$tmp/diskthrud -addr 127.0.0.1:0 -addr-file $$tmp/a2 >$$tmp/d2.log 2>&1 & p2=$$!; \
 	$$tmp/diskthrud -addr 127.0.0.1:0 -addr-file $$tmp/a3 >$$tmp/d3.log 2>&1 & p3=$$!; \
@@ -183,4 +197,10 @@ fleet-smoke:
 		echo "fleet-smoke: fleet output is not byte-identical to single-node"; \
 		cat $$tmp/fleet.log; exit 1; }; \
 	head -n 3 $$tmp/fleet.out; \
-	echo "fleet-smoke: OK (byte-identical to single-node)"
+	hits=$$(for a in a1 a2 a3; do \
+		$$tmp/diskthru-client -addr "http://$$(cat $$tmp/$$a)" metrics; done \
+		| awk '$$1 == "serve_cache_hits_total{kind=\"workload\"}" {s += $$2} END {print s + 0}'); \
+	[ "$$hits" -gt 0 ] || { \
+		echo "fleet-smoke: the sweep never hit the daemons' workload cache"; \
+		cat $$tmp/d1.log $$tmp/d2.log $$tmp/d3.log; exit 1; }; \
+	echo "fleet-smoke: OK (byte-identical to single-node; $$hits workload cache hits)"

@@ -12,13 +12,13 @@
 //	diskthrud -queue-cap 8 -workers 2 -max-timeout 10m
 //	diskthrud -log-format json -pprof-addr 127.0.0.1:6060
 //	diskthrud -state-dir /var/lib/diskthrud
-//	diskthrud -cache-bytes 134217728
 //
-// Warm cache: the daemon keeps an LRU byte-budgeted cache of built
-// workloads and finished cell payloads (-cache-bytes), so identical
-// resubmissions are answered without re-simulating. With -state-dir,
-// a SIGKILLed daemon resumes each unfinished job from its last
-// journaled cell.
+// Warm cache: the daemon keeps the built workloads of the experiment
+// and scales it ran last, so the next cell of the same sweep skips
+// layout allocation and trace synthesis. It is always on, holds one
+// sweep's workloads at most, and never changes a result. With
+// -state-dir, a SIGKILLed daemon resumes each unfinished job from its
+// last journaled cell.
 //
 // Logs are structured (log/slog) on stderr, text by default and JSON
 // with -log-format json; every job-lifecycle record carries the job id.
@@ -60,7 +60,6 @@ func main() {
 		logFormat    = flag.String("log-format", "text", "log record encoding: text or json")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = off); keep it loopback-only")
 		stateDir     = flag.String("state-dir", "", "directory for the crash-safety journal; jobs survive SIGKILL and resume from their last completed cell (empty = memory-only)")
-		cacheBytes   = flag.Int64("cache-bytes", 64<<20, "byte budget for the in-memory warm cache of built workloads and finished cell payloads (negative = off)")
 	)
 	flag.Parse()
 	logger, err := newLogger(*logFormat)
@@ -114,7 +113,6 @@ func main() {
 		MaxTimeout:     *maxTimeout,
 		Logger:         logger,
 		StateDir:       *stateDir,
-		CacheBytes:     *cacheBytes,
 	})
 	if err != nil {
 		fatal("recovering state", err)

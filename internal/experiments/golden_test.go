@@ -94,3 +94,19 @@ func lineDiff(want, got string) string {
 	}
 	return sb.String()
 }
+
+// TestResultsDefaultCoversRegistry: the committed Defaults-scale output
+// at the repository root (`make results`) carries a table for every
+// registered driver.
+func TestResultsDefaultCoversRegistry(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "results_default.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := "\n" + string(raw)
+	for _, name := range Names() {
+		if !strings.Contains(text, "\n== "+name+": ") {
+			t.Errorf("results_default.txt has no %q table; regenerate it with `make results`", name)
+		}
+	}
+}

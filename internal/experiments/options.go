@@ -57,8 +57,8 @@ type Options struct {
 	// synthesis are a large share of a small cell job's cost. Keys are
 	// deterministic (see warm.go); the built values are read-only during
 	// replay, so sharing never perturbs results. The job daemon wires
-	// its LRU cache through this field; nil (default) builds from
-	// scratch, exactly as before.
+	// a ScopeCache (the current warm scope's workloads only) through
+	// this field; nil (default) builds from scratch, exactly as before.
 	WorkloadCache WorkloadCache
 	// cells carries the cell-granularity execution session installed by
 	// RunCellExec / RunWithCellExec (see cell.go); nil for ordinary runs.

@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -56,16 +58,25 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec reads one job spec from a submission body: exactly one
+// JSON object, with no field the Spec does not know.
+func decodeSpec(body io.Reader) (Spec, error) {
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad job spec: " + err.Error()})
-		return
+		return Spec{}, fmt.Errorf("bad job spec: %w", err)
 	}
 	if dec.More() {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad job spec: trailing data after the JSON object"})
+		return Spec{}, errors.New("bad job spec: trailing data after the JSON object")
+	}
+	return spec, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(r.Body)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		return
 	}
 	if key := r.Header.Get("Idempotency-Key"); key != "" {

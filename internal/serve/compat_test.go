@@ -82,7 +82,7 @@ func TestOlderJournalRecovers(t *testing.T) {
 		fmt.Sprintf(`{"type":"start","job":"j000002","at":%q}`, at),
 		fmt.Sprintf(`{"type":"cell","job":"j000002","cell":{"phase":1,"index":2},"payload":%q}`, old),
 	})
-	s, err := New(Config{QueueCap: 4, StateDir: dir, CacheBytes: -1})
+	s, err := New(Config{QueueCap: 4, StateDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,33 +115,18 @@ func (s *Server) initMetrics() {
 			return float64(bytes)
 		})
 
-	// Warm-cache families. Like the durability families they always
-	// exist, reading zero when the cache is off, so dashboards need no
-	// conditional scrape.
-	for _, kind := range []string{kindPayload, kindWorkload} {
-		kind := kind
-		i := kindIdx(kind)
-		readCache := func(read func() int64) func() float64 {
-			return func() float64 {
-				if s.cache == nil {
-					return 0
-				}
-				return float64(read())
-			}
-		}
-		r.NewCounterFunc("serve_cache_hits_total",
-			"Warm-cache lookups answered from memory, by entry kind.",
-			readCache(func() int64 { return s.cache.hits[i].Load() }), "kind", kind)
-		r.NewCounterFunc("serve_cache_misses_total",
-			"Warm-cache lookups that had to compute, by entry kind.",
-			readCache(func() int64 { return s.cache.misses[i].Load() }), "kind", kind)
-		r.NewCounterFunc("serve_cache_evictions_total",
-			"Warm-cache entries evicted by the LRU byte budget, by entry kind.",
-			readCache(func() int64 { return s.cache.evictions[i].Load() }), "kind", kind)
-		r.NewGaugeFunc("serve_cache_bytes",
-			"Bytes of warm-cache budget currently held, by entry kind (workload entries are costed at their estimated resident footprint).",
-			readCache(func() int64 { return s.cache.bytes[i].Load() }), "kind", kind)
-	}
+	// Warm-cache families. The cache holds workloads only; the kind
+	// label stays so scrapes keyed on kind="workload" keep working.
+	c := &s.cache
+	r.NewCounterFunc("serve_cache_hits_total",
+		"Warm-cache lookups answered from memory, by entry kind.",
+		func() float64 { return float64(c.Hits.Load()) }, "kind", "workload")
+	r.NewCounterFunc("serve_cache_misses_total",
+		"Warm-cache lookups that had to build, by entry kind.",
+		func() float64 { return float64(c.Misses.Load()) }, "kind", "workload")
+	r.NewCounterFunc("serve_cache_evictions_total",
+		"Warm-cache entries dropped because a job of another warm scope arrived, by entry kind.",
+		func() float64 { return float64(c.Evictions.Load()) }, "kind", "workload")
 
 	s.httpReqs = r.NewCounterVec("diskthru_http_requests_total",
 		"HTTP requests served, by method, route pattern and status code.",

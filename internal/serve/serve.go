@@ -72,12 +72,6 @@ type Config struct {
 	// not checkpoint. Nil means the real experiments-backed runner;
 	// tests inject controllable stand-ins.
 	Runner func(ctx context.Context, spec Spec, prog *probe.Progress, ck *Checkpoint) (string, error)
-	// CacheBytes budgets the warm-start cache: a byte-bounded LRU over
-	// completed cell payloads and built workloads, so identical
-	// resubmissions (fleet retries, failovers, repeated sweeps) are
-	// answered from memory instead of re-simulated. Zero means 64 MiB;
-	// negative disables caching entirely.
-	CacheBytes int64
 	// StateDir, when set, makes the daemon crash-safe: every job
 	// admission, state transition and completed simulation cell is
 	// appended to an fsync'd journal under this directory, and New
@@ -120,8 +114,9 @@ type Server struct {
 	// counts cells restored from it instead of re-run.
 	jnl           *journal.Writer
 	cellsReplayed atomic.Int64
-	// cache is the warm-start LRU (nil when Config.CacheBytes < 0).
-	cache *warmCache
+	// cache holds the current warm scope's built workloads, shared by
+	// every job (see experiments.ScopeCache).
+	cache experiments.ScopeCache
 
 	// Prometheus surface (see initMetrics). The registry reads the
 	// counters above through func-backed series; these fields are the
@@ -160,12 +155,6 @@ func New(cfg Config) (*Server, error) {
 	if s.cfg.Runner == nil {
 		s.cfg.Runner = s.runSpec
 	}
-	if s.cfg.CacheBytes == 0 {
-		s.cfg.CacheBytes = 64 << 20
-	}
-	if s.cfg.CacheBytes > 0 {
-		s.cache = newWarmCache(s.cfg.CacheBytes)
-	}
 	var pending []*job
 	if cfg.StateDir != "" {
 		var err error
@@ -199,17 +188,14 @@ func New(cfg Config) (*Server, error) {
 // cell through experiments.RunWithCellExec so completed cells persist
 // as they finish and journaled ones are injected instead of re-run —
 // the cell decomposition is proven byte-identical to a plain run.
-// Cell jobs consult the journal checkpoint, then the in-memory payload
-// cache, before simulating; both preserve byte identity.
+// Every job builds its workloads through the daemon's scope cache.
 func (s *Server) runSpec(ctx context.Context, sp Spec, prog *probe.Progress, ck *Checkpoint) (string, error) {
 	o := sp.options()
 	o.Ctx = ctx
 	o.Progress = prog
-	if s.cache != nil {
-		o.WorkloadCache = s.cache
-	}
+	o.WorkloadCache = &s.cache
 	if sp.Cell != nil {
-		return s.runCellSpec(sp, o, ck)
+		return runCellSpec(sp, o, ck)
 	}
 	var t *experiments.Table
 	var err error
@@ -237,24 +223,15 @@ func (s *Server) runSpec(ctx context.Context, sp Spec, prog *probe.Progress, ck 
 // the coordinator that submitted it decodes and injects it into its own
 // driver invocation — it is not human-readable on purpose.
 //
-// The cell's payload comes from the first source that has one: the
-// journal checkpoint (this very job completed the cell before a crash),
-// the content-addressed payload cache (some earlier job with the same
-// canonical identity computed it: retries under new idempotency keys,
-// failover re-dispatch, repeated sweeps), or a fresh simulation. Stored
-// payloads are injected into the cell's slot, so one of the wrong slot
-// type — journaled by an older binary — fails the tag check and the
-// cell re-runs.
-func (s *Server) runCellSpec(sp Spec, o experiments.Options, ck *Checkpoint) (string, error) {
-	key := payloadKey(sp, o)
+// The cell's payload comes from the journal checkpoint when this very
+// job completed the cell before a crash, and from a fresh simulation
+// otherwise. A journaled payload of the wrong slot type — written by an
+// older binary — fails the tag check on injection and the cell re-runs.
+func runCellSpec(sp Spec, o experiments.Options, ck *Checkpoint) (string, error) {
 	payload, err := experiments.RunCellExec(sp.Experiment, o, *sp.Cell,
 		func(id experiments.CellID, run func() ([]byte, error), inject func([]byte) error) error {
 			if p, ok := ck.lookup(id); ok && inject(p) == nil {
 				ck.replayed()
-				return nil
-			}
-			if p, ok := s.cache.getPayload(key); ok && inject(p) == nil {
-				ck.recordCell(id, p) // durable for this job
 				return nil
 			}
 			p, err := run()
@@ -262,24 +239,12 @@ func (s *Server) runCellSpec(sp Spec, o experiments.Options, ck *Checkpoint) (st
 				return err
 			}
 			ck.recordCell(id, p)
-			s.cache.addPayload(key, p)
 			return nil
 		})
 	if err != nil {
 		return "", err
 	}
 	return base64.StdEncoding.EncodeToString(payload), nil
-}
-
-// payloadKey is the content address of one cell result: the experiment,
-// the cell, and every resolved option that shapes the simulation.
-// Parallelism, Format, TimeoutSeconds and IdempotencyKey are
-// deliberately excluded — none of them change the payload bytes — so
-// submissions differing only in those still share one cache line.
-func payloadKey(sp Spec, o experiments.Options) string {
-	return fmt.Sprintf("%s|%s|syn=%d|web=%g|proxy=%g|file=%g|seed=%d|stream=%t",
-		sp.Experiment, sp.Cell, o.SynRequests, o.WebScale, o.ProxyScale,
-		o.FileScale, o.Seed, o.StreamStats)
 }
 
 // Submit validates and enqueues one job, returning its queued view.

@@ -43,33 +43,36 @@ func decodeResult(t *testing.T, v View) []byte {
 	return got
 }
 
-// TestPayloadCacheServesResubmission: the second submission of an
-// identical cell spec is answered from the content-addressed payload
-// cache — same bytes, one hit on the metrics surface, no second
-// simulation.
-func TestPayloadCacheServesResubmission(t *testing.T) {
+// TestCellJobsShareWorkloads: cells of one experiment run on one
+// daemon share its built workloads through the scope cache — the
+// second cell scrapes one workload hit — and every payload, including
+// a resubmitted identical cell's, equals in-process RunCell.
+func TestCellJobsShareWorkloads(t *testing.T) {
 	h := newHarness(t, Config{QueueCap: 4})
-	sp := tinyCellSpec("degraded", experiments.CellID{Index: 0})
-	v1 := h.await(h.submit(sp).ID, time.Minute, terminal)
-	if v1.State != StateDone {
-		t.Fatalf("first cell job ended %s: %s", v1.State, v1.Error)
+	run := func(sp Spec) []byte {
+		t.Helper()
+		v := h.await(h.submit(sp).ID, time.Minute, terminal)
+		if v.State != StateDone {
+			t.Fatalf("cell %s ended %s: %s", sp.Cell, v.State, v.Error)
+		}
+		got := decodeResult(t, v)
+		if string(got) != string(tinyCellPayload(t, sp)) {
+			t.Errorf("cell %s payload differs from in-process RunCell", sp.Cell)
+		}
+		return got
 	}
-	v2 := h.await(h.submit(sp).ID, time.Minute, terminal)
-	if v2.State != StateDone {
-		t.Fatalf("second cell job ended %s: %s", v2.State, v2.Error)
+	// Every degraded cell replays the same workload.
+	first := tinyCellSpec("degraded", experiments.CellID{Index: 0})
+	p0 := run(first)
+	run(tinyCellSpec("degraded", experiments.CellID{Index: 1}))
+	if out := scrape(t, h.srv); !strings.Contains(out, `serve_cache_hits_total{kind="workload"} 1`) {
+		t.Errorf("second cell of one experiment did not scrape one workload hit:\n%s", out)
 	}
-	if v1.Result != v2.Result {
-		t.Error("cached resubmission returned different bytes")
+	if again := run(first); string(again) != string(p0) {
+		t.Error("resubmitted cell returned different bytes")
 	}
-	if hits := h.srv.cache.hits[kindIdx(kindPayload)].Load(); hits != 1 {
-		t.Errorf("payload cache hits = %d, want 1", hits)
-	}
-	if got := string(decodeResult(t, v2)); got != string(tinyCellPayload(t, sp)) {
-		t.Error("cached payload differs from in-process RunCell")
-	}
-	out := scrape(t, h.srv)
-	if !strings.Contains(out, `serve_cache_hits_total{kind="payload"} 1`) {
-		t.Error("serve_cache_hits_total{kind=\"payload\"} not scraped as 1")
+	if hits := h.srv.cache.Hits.Load(); hits != 2 {
+		t.Errorf("workload cache hits = %d after three cells, want 2", hits)
 	}
 }
 

@@ -48,23 +48,6 @@ func (w *Workload) FootprintBlocks() int64 { return w.inner.Layout.UsedBlocks() 
 // AvgFileBlocks reports the mean requested size in blocks.
 func (w *Workload) AvgFileBlocks() int { return w.inner.AvgFileBlocks }
 
-// MemFootprint estimates the resident bytes of a built workload — trace
-// records plus per-file layout tables — for byte-cost accounting in the
-// daemon's LRU workload cache. An estimate, not a measurement: it only
-// has to rank workloads against a cache budget.
-func (w *Workload) MemFootprint() int64 {
-	const recBytes = 16 // trace.Record plus slice overhead share
-	n := int64(4 << 10) // fixed structures
-	if t := w.inner.Trace; t != nil {
-		n += int64(t.Len()) * recBytes
-	}
-	if s := w.inner.Server; s != nil && s != w.inner.Trace {
-		n += int64(s.Len()) * recBytes
-	}
-	n += int64(w.inner.Layout.NumFiles()) * 64
-	return n
-}
-
 // EncodeTrace writes the disk-level trace in the binary trace format.
 // Source workloads have no materialized trace to encode.
 func (w *Workload) EncodeTrace(dst io.Writer) error {

@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-compare bench-long fuzz profile results serve-smoke fleet-smoke crash-smoke metrics-lint
+.PHONY: check vet build test race bench bench-compare bench-long bench-smoke fuzz profile results serve-smoke fleet-smoke crash-smoke metrics-lint
 
-check: vet build race fuzz metrics-lint serve-smoke fleet-smoke crash-smoke bench-long
+check: vet build race fuzz metrics-lint serve-smoke fleet-smoke crash-smoke bench-long bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -24,12 +24,14 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# Short fuzz budgets over four untrusted input surfaces — trace files,
+# Short fuzz budgets over five untrusted input surfaces — trace files,
 # fault-profile JSON, POST /v1/jobs bodies (decoding and validation must
 # never panic, and every accepted spec must resolve to valid experiment
-# options), and the gob cell payloads that arrive from remote daemons
-# and journals (decoding must never panic and must refuse a payload
-# tagged for another slot type) — plus two equivalence
+# options), the gob cell payloads that arrive from remote daemons and
+# journals (decoding must never panic and must refuse a payload tagged
+# for another slot type), and the journal records a restarting daemon
+# replays (no record may panic it: each journal is refused with an error
+# or replayed, every job once) — plus two equivalence
 # properties: the calendar queue must pop in exactly the reference
 # heap's (time, seq) order on adversarial schedules, and the
 # run-granular controller caches must answer every query exactly as
@@ -39,6 +41,7 @@ fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzParseProfile$$' -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzSubmitSpec$$' -fuzztime 10s
+	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzJournalRecover$$' -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzCalendarQueueEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzDecodeSlot$$' -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheEquivalence$$' -fuzztime 10s
@@ -72,6 +75,13 @@ bench-compare:
 # if the live heap after the long run exceeds the short one by > 10%.
 bench-long:
 	$(GO) test -bench '^BenchmarkLongRun$$' -benchmem -benchtime 1x -run '^$$' .
+
+# The benchmark module's smoke test at a tiny scale. bench/ is its own
+# Go module, so `go test ./...` at the root never builds it; this keeps
+# the entry points it calls (host.PlanHDC, geom.Compile().MediaOp, the
+# cache stores, the experiment and serve APIs) from drifting under it.
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 # Regenerate results_default.txt: every registered experiment at the
 # committed Defaults scales, with per-experiment wall time. Tables are

@@ -345,24 +345,20 @@ func RunContext(ctx context.Context, w *Workload, cfg Config) (Result, error) {
 	}
 
 	if cfg.HDCKB > 0 {
-		perDisk := cfg.HDCKB << 10 / r.geom.BlockSize
-		planTrace := planningTrace(inner.Trace, cfg)
-		switch {
-		case cfg.CoopHDC && r.replicas == 2:
-			// Cooperative: plan twice the per-controller capacity per
-			// pair and split it across the replicas, doubling distinct
-			// pinned blocks; reads route to the pinning replica. The
-			// split alternates whole contiguous runs, never single
-			// blocks, so multi-block requests stay fully pinned on one
-			// replica.
-			plan := host.PlanHDC(planTrace, inner.Layout, r.striper, 2*perDisk)
+		plan := w.hdcPlan(cfg, r.striper, cfg.HDCKB<<10/r.geom.BlockSize)
+		if cfg.CoopHDC {
+			// Cooperative: the plan holds twice the per-controller
+			// capacity per pair; split it across the replicas, doubling
+			// distinct pinned blocks; reads route to the pinning
+			// replica. The split alternates whole contiguous runs, never
+			// single blocks, so multi-block requests stay fully pinned
+			// on one replica.
 			for d := 0; d < r.logical; d++ {
 				a, bHalf := splitRuns(plan[d])
 				r.disks[2*d].PinBlocks(a)
 				r.disks[2*d+1].PinBlocks(bHalf)
 			}
-		default:
-			plan := host.PlanHDC(planTrace, inner.Layout, r.striper, perDisk)
+		} else {
 			for i, d := range r.disks {
 				d.PinBlocks(plan[i/r.replicas])
 			}

@@ -25,6 +25,10 @@ var goldenDrivers = []string{
 	"ablation-for-eviction",
 	"ablation-segment-geometry",
 	"ext-victim",
+	"ablation-hdc-planner",
+	"ext-raid1",
+	"fig6",
+	"longrun",
 }
 
 // goldenSeeds are the Options.Seed values each golden file covers.

@@ -20,6 +20,14 @@ import (
 // rotational path — the platter-angle reduction inside angleOf — stays a
 // division deliberately: multiplying by a precomputed reciprocal rounds
 // differently in the last ulp and would break byte-identical tables.
+// The angle's fractional part, though, is x - math.Floor(x) rather than
+// the reference's math.Mod(x, 1) plus a negative fix-up. math.Mod loops
+// once per bit of x's exponent and the floor does not, and the two agree
+// for every finite x. For x >= 0 the fractional part is representable,
+// so both forms are exact. For x < 0 the reference's +1.0 rounds the
+// same real sum, x - floor(x), exactly once; only a negative integer
+// differs, giving +0 where the reference keeps -0, which the
+// subtraction that follows cannot tell apart.
 //
 // A Mech is immutable after construction and safe to share across
 // concurrent replay cells; Compile caches one per distinct Geometry.
@@ -256,11 +264,10 @@ func (m *Mech) MediaOp(fromCyl int, lba int64, count int, start float64) Access 
 
 	// Rotational wait: the platter angle when the seek settles versus
 	// the tabulated angle of the first target sector. The angle-of-time
-	// reduction keeps the reference's division (see the type comment).
-	frac := math.Mod((start+acc.SeekTime)/m.rev, 1.0)
-	if frac < 0 {
-		frac += 1.0
-	}
+	// reduction keeps the reference's division, and its floor gives the
+	// reference's math.Mod bits (see the type comment).
+	x := (start + acc.SeekTime) / m.rev
+	frac := x - math.Floor(x)
 	wait := angle[p.Sector] - frac
 	if wait < 0 {
 		wait += 1.0

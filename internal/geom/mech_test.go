@@ -47,7 +47,12 @@ func TestMechMatchesGeometry(t *testing.T) {
 					count = int(blocks - lba)
 				}
 				fromCyl := rng.Intn(g.Cylinders)
-				start := rng.Float64() * 100
+				start := drawStart(rng, g.RevTime())
+				if rng.Intn(4) == 0 {
+					// No seek: the platter angle is start/rev itself,
+					// so k·rev starts reduce exact integers.
+					fromCyl = gp.Cylinder
+				}
 				got := m.MediaOp(fromCyl, lba, count, start)
 				want := g.MediaOp(fromCyl, lba, count, start)
 				if !bitsEq(got.SeekTime, want.SeekTime) ||
@@ -60,6 +65,28 @@ func TestMechMatchesGeometry(t *testing.T) {
 			}
 		})
 	}
+}
+
+// drawStart picks a media-op start time for the bit-exact comparison:
+// uniform over the first 100 s, log-uniform up to 1e5 s (the horizons
+// of long open-loop runs, where the platter angle keeps few fraction
+// bits), or an exact multiple k·rev or one of its 1-ulp neighbours,
+// where the angle reduction sits on a whole-revolution boundary.
+func drawStart(rng *rand.Rand, rev float64) float64 {
+	switch rng.Intn(3) {
+	case 0:
+		return rng.Float64() * 100
+	case 1:
+		return math.Pow(10, -6+11*rng.Float64())
+	}
+	start := float64(rng.Int63n(int64(1e5/rev))) * rev
+	switch rng.Intn(3) {
+	case 0:
+		return math.Nextafter(start, math.Inf(-1))
+	case 1:
+		return math.Nextafter(start, math.Inf(1))
+	}
+	return start
 }
 
 // Seek distances at and around the curve's breakpoints must come out of

@@ -10,15 +10,37 @@ import (
 // that receive the most accesses in the disk-level trace, each stored on
 // its own disk (the paper's "perfect knowledge of the future" policy,
 // section 6.1). perDiskBlocks bounds each controller's pinned region.
-// The returned slice is indexed by disk.
+// The returned slice is indexed by disk. It is PlanHDCRanked over
+// RankBlocks(t, l).
 func PlanHDC(t *trace.Trace, l *fslayout.Layout, s array.Striper, perDiskBlocks int) [][]int64 {
+	return PlanHDCRanked(RankBlocks(t, l), s, perDiskBlocks)
+}
+
+// RankBlocks lists every logical block the trace touches, most accessed
+// first and ties by ascending block — the order PlanHDC pins in. It
+// depends only on the trace and layout, so a caller planning the same
+// trace for several arrays or region sizes ranks it once and shares the
+// read-only result.
+func RankBlocks(t *trace.Trace, l *fslayout.Layout) []int64 {
+	counts := t.BlockCounts(l).Ranked()
+	ranked := make([]int64, len(counts))
+	for i, bc := range counts {
+		ranked[i] = bc.Block
+	}
+	return ranked
+}
+
+// PlanHDCRanked is PlanHDC over a RankBlocks ranking: it walks ranked in
+// order, giving each disk its first perDiskBlocks blocks. ranked is only
+// read.
+func PlanHDCRanked(ranked []int64, s array.Striper, perDiskBlocks int) [][]int64 {
 	plan := make([][]int64, s.Disks)
 	if perDiskBlocks <= 0 {
 		return plan
 	}
 	full := 0
-	for _, bc := range t.BlockCounts(l).Ranked() {
-		d, pba := s.Locate(bc.Block)
+	for _, b := range ranked {
+		d, pba := s.Locate(b)
 		if len(plan[d]) >= perDiskBlocks {
 			continue
 		}

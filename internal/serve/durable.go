@@ -109,6 +109,12 @@ func (s *Server) recover(dir string) (pending []*job, err error) {
 		}
 		switch rec.Type {
 		case "submit":
+			if rec.Job == "" {
+				return fmt.Errorf("submit record has no job id")
+			}
+			if byID[rec.Job] != nil {
+				return fmt.Errorf("second submit record for %s", rec.Job)
+			}
 			if rec.Spec == nil {
 				return fmt.Errorf("submit record for %s has no spec", rec.Job)
 			}

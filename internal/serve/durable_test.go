@@ -308,6 +308,37 @@ func TestTornTailTolerated(t *testing.T) {
 	}
 }
 
+// TestRecoveryRefusesMalformedSubmit: a journal whose submit record
+// cannot be restored — no job id, no spec, not JSON at all, or a second
+// submit for one job id — fails the boot with an error naming the state
+// dir instead of panicking the daemon or running a job twice.
+func TestRecoveryRefusesMalformedSubmit(t *testing.T) {
+	for name, rec := range map[string]string{
+		"no job id":   `{"type":"submit","job":"","spec":{"experiment":"fig1"}}`,
+		"no spec":     `{"type":"submit","job":"j000001"}`,
+		"undecodable": `{"type":"submit",`,
+		"duplicate":   `{"type":"submit","job":"j000001","spec":{"experiment":"fig1"}}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			recs := []string{rec}
+			if name == "duplicate" {
+				recs = append(recs, rec)
+			}
+			writeRawRecords(t, dir, recs)
+			run, _ := instantRunner()
+			s, err := New(Config{QueueCap: 4, Workers: 1, Runner: run, StateDir: dir})
+			if err == nil {
+				drainNow(t, s)
+				t.Fatalf("journal with a %s submit record was accepted", name)
+			}
+			if !strings.Contains(err.Error(), dir) {
+				t.Errorf("error %q does not name the state dir", err)
+			}
+		})
+	}
+}
+
 // TestForcedDrainJobsResurrectExactlyOnce is the graceful-drain
 // persistence contract: a forced drain (SIGTERM deadline expired) with
 // running and queued jobs leaves them unfinished-but-durable, a restart

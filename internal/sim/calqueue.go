@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // calQueue is the simulator's default event queue: a two-level
 // calendar queue tuned for the access pattern of a disk replay, where
 // most scheduling activity clusters within a few bucket widths of the
@@ -31,6 +33,16 @@ package sim
 // the rest. The equivalence fuzz test (calqueue_test.go) checks the
 // pop stream against refHeap on adversarial schedules.
 //
+// An occupancy bitmap, one bit per ring slot, lets the cursor jump
+// straight to the next non-empty bucket. Closed-loop replays keep fewer
+// than 2×256 events pending, so their ring never grows and the width
+// stays at its initial 50µs; most steps would otherwise land on an
+// empty slot. The jump needs one migrate at its end, not one per
+// skipped slot: every far event has v >= curV+nb, so none can fall
+// due before the slot the jump reaches (it is fewer than nb slots
+// ahead), and the far events it admits land in the skipped, empty
+// slots.
+//
 // The width is retuned from an EWMA of observed inter-pop gaps, but
 // only when the ring grows — a moment when every ring bucket has been
 // spilled to far, since v(t) changes with the width and no placed
@@ -38,6 +50,7 @@ package sim
 // ones.
 type calQueue struct {
 	buckets [][]entry // ring; len is a power of two
+	occ     []uint64  // bit i set iff buckets[i] is non-empty
 	mask    int64     // len(buckets) - 1
 	curV    int64     // virtual index of the current bucket
 	width   Time      // virtual-time span of one bucket
@@ -63,6 +76,7 @@ const (
 func newCalQueue() *calQueue {
 	q := &calQueue{
 		buckets: make([][]entry, calMinBuckets),
+		occ:     make([]uint64, calMinBuckets/64),
 		mask:    calMinBuckets - 1,
 	}
 	presizeBuckets(q.buckets)
@@ -105,6 +119,7 @@ func (q *calQueue) reset() {
 		}
 		q.buckets[i] = b[:0]
 	}
+	clear(q.occ)
 	for i := range q.far {
 		q.far[i] = entry{}
 	}
@@ -137,6 +152,7 @@ func (q *calQueue) push(e entry) {
 		return
 	}
 	idx := v & q.mask
+	q.occ[idx>>6] |= 1 << (idx & 63)
 	if v == q.curV && q.sorted {
 		entryHeapPush(&q.buckets[idx], e)
 		return
@@ -154,6 +170,9 @@ func (q *calQueue) pop() entry {
 				q.sorted = true
 			}
 			e := entryHeapPop(&q.buckets[idx])
+			if len(q.buckets[idx]) == 0 {
+				q.occ[idx>>6] &^= 1 << (idx & 63)
+			}
 			q.n--
 			if q.primed {
 				if gap := e.at - q.lastPop; gap > 0 {
@@ -196,9 +215,31 @@ func (q *calQueue) advance() {
 		q.anchorToFar()
 		return
 	}
-	q.curV++
+	q.curV += q.nextOccupied()
 	q.sorted = false
 	q.migrate()
+}
+
+// nextOccupied reports how many slots ahead of the cursor the next
+// non-empty ring bucket lies, scanning the occupancy bitmap circularly.
+// Caller guarantees some ring bucket is non-empty and the current one
+// is empty, so the answer is in [1, nb).
+func (q *calQueue) nextOccupied() int64 {
+	cur := q.curV & q.mask
+	i := (cur + 1) & q.mask
+	w := int(i >> 6)
+	word := q.occ[w] &^ (1<<(i&63) - 1) // slots before i come last
+	for range len(q.occ) + 1 {
+		if word != 0 {
+			slot := int64(w<<6 + bits.TrailingZeros64(word))
+			return (slot - cur) & q.mask
+		}
+		if w++; w == len(q.occ) {
+			w = 0
+		}
+		word = q.occ[w]
+	}
+	panic("sim: calendar ring holds events but no occupied slot")
 }
 
 // anchorToFar re-bases the window at the earliest far event and pulls
@@ -211,8 +252,8 @@ func (q *calQueue) anchorToFar() {
 }
 
 // migrate restores the invariant that far holds only events at or
-// beyond the ring window, pulling the rest into their slots. During a
-// single-step advance at most the just-vacated slot fills; after an
+// beyond the ring window, pulling the rest into their slots. After an
+// advance only the slots the cursor just passed can fill; after an
 // anchor the drained events scatter across the ring.
 func (q *calQueue) migrate() {
 	limit := q.curV + int64(len(q.buckets))
@@ -223,6 +264,7 @@ func (q *calQueue) migrate() {
 			v = q.curV
 		}
 		idx := v & q.mask
+		q.occ[idx>>6] |= 1 << (idx & 63)
 		q.buckets[idx] = append(q.buckets[idx], e)
 	}
 }
@@ -243,6 +285,7 @@ func (q *calQueue) grow() {
 	nb := 2 * len(q.buckets)
 	q.buckets = append(q.buckets, make([][]entry, nb-len(q.buckets))...)
 	presizeBuckets(q.buckets)
+	q.occ = make([]uint64, nb/64)
 	q.mask = int64(nb - 1)
 	q.retune()
 	q.anchorToFar()

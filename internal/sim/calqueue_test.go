@@ -63,6 +63,17 @@ func (w *twin) drain() {
 	for w.len() > 0 {
 		w.pop()
 	}
+	w.checkOccupancy()
+}
+
+// checkOccupancy demands that the calendar queue's occupancy bitmap
+// marks exactly its non-empty ring slots.
+func (w *twin) checkOccupancy() {
+	for i, b := range w.cal.buckets {
+		if set := w.cal.occ[i>>6]>>(i&63)&1 == 1; set != (len(b) > 0) {
+			w.t.Fatalf("ring slot %d: occupancy bit %v with %d events", i, set, len(b))
+		}
+	}
 }
 
 // step interprets a 3-byte opcode: the op selector plus a 16-bit
@@ -128,6 +139,47 @@ func TestCalendarQueueGrowDuringDrain(t *testing.T) {
 	w.drain()
 }
 
+// The cursor jumps over empty slots by the occupancy bitmap. A sparse
+// schedule — events dozens of bucket widths apart, a window that wraps
+// past slot 255 and spills into the far rung, a peek that moves the
+// cursor ahead of the clock (RunUntil's pattern) followed by an earlier
+// push, and a reset of a partly drained queue as the pool hands it out
+// again — must still pop in the reference heap's order.
+func TestCalendarQueueSparseJumps(t *testing.T) {
+	w := newTwin(t)
+	sparse := func(pops int) {
+		base := w.now
+		for k := 0; k < 12; k++ {
+			w.push(base + Time(k*37)*calInitWidth + 1e-6)
+		}
+		for i := 0; i < 6; i++ {
+			w.pop()
+		}
+		w.peek()
+		w.push(w.now + 3*calInitWidth) // behind the peeked cursor
+		w.checkOccupancy()
+		for k := 1; k <= 8; k++ {
+			w.push(w.now + Time(k*53)*calInitWidth)
+		}
+		for i := 0; i < pops && w.len() > 0; i++ {
+			w.pop()
+		}
+		w.checkOccupancy()
+	}
+
+	sparse(9)
+	if w.len() == 0 {
+		t.Fatal("the first life should leave events pending")
+	}
+	w.cal.reset()
+	w.ref.reset()
+	w.now, w.seq = 0, 0
+	w.checkOccupancy()
+	sparse(9)
+	w.drain()
+	sparse(1 << 10)
+}
+
 // FuzzCalendarQueueEquivalence lets the fuzzer hunt for an operation
 // stream whose calendar-queue pop order diverges from the reference
 // heap. Wired into `make fuzz`.
@@ -137,6 +189,13 @@ func FuzzCalendarQueueEquivalence(f *testing.F) {
 	seeds := make([]byte, 999)
 	rand.New(rand.NewSource(3)).Read(seeds)
 	f.Add(seeds)
+	// Sparse: pushes ~131 and ~66 bucket widths out plus a far one, a
+	// peek and a pop per round, so the cursor jumps and wraps the ring.
+	var sparse []byte
+	for i := 0; i < 24; i++ {
+		sparse = append(sparse, 0, 255, 255, 1, 128, 0, 3, 0, 0, 7, 0, 0, 5, 0, 0)
+	}
+	f.Add(sparse)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w := newTwin(t)
 		for i := 0; i+2 < len(data); i += 3 {

@@ -6,7 +6,6 @@ import (
 
 	"diskthru/internal/host"
 	"diskthru/internal/probe"
-	"diskthru/internal/trace"
 	"diskthru/internal/workload"
 )
 
@@ -78,8 +77,7 @@ func RunLiveContext(ctx context.Context, w *Workload, cfg Config, opts LiveOptio
 	// Static HDC plan (top-miss blocks) unless the victim policy manages
 	// the region dynamically.
 	if cfg.HDCKB > 0 && !opts.VictimHDC {
-		perDisk := cfg.HDCKB << 10 / r.geom.BlockSize
-		plan := host.PlanHDC(planningTrace(w.inner.Trace, cfg), w.inner.Layout, r.striper, perDisk)
+		plan := w.hdcPlan(cfg, r.striper, cfg.HDCKB<<10/r.geom.BlockSize)
 		for i, d := range r.disks {
 			d.PinBlocks(plan[i])
 		}
@@ -124,13 +122,4 @@ func RunLiveContext(ctx context.Context, w *Workload, cfg Config, opts LiveOptio
 		BufferCacheHitRate: l.CacheHitRate(),
 		VictimInserts:      l.VictimInserts,
 	}, nil
-}
-
-// planningTrace applies the planner selection to the disk-level trace.
-func planningTrace(t *trace.Trace, cfg Config) *trace.Trace {
-	if cfg.Planner == PlannerHistory {
-		half := len(t.Records) / 2
-		return &trace.Trace{Records: t.Records[:half]}
-	}
-	return t
 }

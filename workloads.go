@@ -3,15 +3,63 @@ package diskthru
 import (
 	"fmt"
 	"io"
+	"sync"
 
+	"diskthru/internal/array"
+	"diskthru/internal/host"
 	"diskthru/internal/trace"
 	"diskthru/internal/workload"
 )
 
 // Workload is an opaque handle on a file-system layout plus the
-// disk-level trace to replay against it.
+// disk-level trace to replay against it. Concurrent runs may share one
+// Workload.
 type Workload struct {
 	inner *workload.Workload
+
+	// ranked holds each planner's HDC block ranking (index 1 for
+	// PlannerHistory, 0 otherwise). The first HDC run that needs one
+	// computes it; every later run, whatever its array or region size,
+	// shares it read-only.
+	ranked [2]blockRanking
+}
+
+type blockRanking struct {
+	once   sync.Once
+	blocks []int64
+}
+
+// hdcPlan is the per-logical-disk pin plan a run with cfg installs on
+// an array striped by s whose controllers pin perDisk blocks each:
+// host.PlanHDC over the planner's trace, twice perDisk per mirrored pair
+// under CoopHDC.
+func (w *Workload) hdcPlan(cfg Config, s array.Striper, perDisk int) [][]int64 {
+	if cfg.CoopHDC {
+		perDisk *= 2
+	}
+	return host.PlanHDCRanked(w.rankedBlocks(cfg.Planner), s, perDisk)
+}
+
+// rankedBlocks returns host.RankBlocks over the planner's planning
+// trace, computing it on first use.
+func (w *Workload) rankedBlocks(p HDCPlanner) []int64 {
+	r := &w.ranked[0]
+	if p == PlannerHistory {
+		r = &w.ranked[1]
+	}
+	r.once.Do(func() {
+		r.blocks = host.RankBlocks(planningTrace(w.inner.Trace, p), w.inner.Layout)
+	})
+	return r.blocks
+}
+
+// planningTrace applies the planner selection to the disk-level trace.
+func planningTrace(t *trace.Trace, p HDCPlanner) *trace.Trace {
+	if p == PlannerHistory {
+		half := len(t.Records) / 2
+		return &trace.Trace{Records: t.Records[:half]}
+	}
+	return t
 }
 
 // Name reports the workload's label ("web", "proxy", "file",

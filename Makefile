@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-compare bench-long bench-smoke fuzz profile results serve-smoke fleet-smoke crash-smoke metrics-lint
+.PHONY: check vet build test race allocs bench-long bench-smoke fuzz profile results serve-smoke fleet-smoke crash-smoke metrics-lint
 
-check: vet build race fuzz metrics-lint serve-smoke fleet-smoke crash-smoke bench-long bench-smoke
+check: vet build race allocs fuzz metrics-lint serve-smoke fleet-smoke crash-smoke bench-long bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -23,6 +23,12 @@ test:
 # a lucky fixed order.
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# The allocation gate. The race detector changes allocation counts, so
+# TestDriverAllocBudget is built only without -race and `make race`
+# skips it; this runs it in an ordinary build.
+allocs:
+	$(GO) test -run '^TestDriverAllocBudget$$' -count 1 .
 
 # Short fuzz budgets over five untrusted input surfaces — trace files,
 # fault-profile JSON, POST /v1/jobs bodies (decoding and validation must
@@ -45,30 +51,6 @@ fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzCalendarQueueEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzDecodeSlot$$' -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheEquivalence$$' -fuzztime 10s
-
-# Three passes over every benchmark at Quick scale; benchjson keeps the
-# fastest run of each, and the parsed numbers land in BENCH_quick.json
-# for cross-commit comparison. The fault and degraded drivers report
-# separately in BENCH_faults.json — at -benchtime 5x, because those two
-# benchmarks are cheap (~100-200 ms/op) and single-iteration samples on
-# this host jitter more than the compare gate tolerates. Every pass also
-# appends a timestamped record to BENCH_history.jsonl, so the trajectory
-# across runs survives the snapshot files being overwritten.
-bench:
-	$(GO) test -bench . -benchmem -benchtime 1x -count 3 -run '^$$' . | $(GO) run ./cmd/benchjson -o BENCH_quick.json -history BENCH_history.jsonl
-	$(GO) test -bench '^Benchmark(Faults|Degraded)$$' -benchmem -benchtime 5x -count 3 -run '^$$' . | $(GO) run ./cmd/benchjson -o BENCH_faults.json -history BENCH_history.jsonl
-
-# Re-run the full benchmark pass (best of three, like bench) and diff
-# simulator-cost metrics against the committed baselines; fails on a
-# regression beyond the thresholds. allocs/op is deterministic and
-# gates tight; ns/op and heapMB gate at -time-threshold 25 because
-# repeated identical runs on a single-CPU virtualized host swing
-# 10-20% between minute-apart invocations (allocs pinned at +-0.0%
-# throughout), and a gate that cries wolf on idle noise teaches people
-# to ignore it. See cmd/benchjson.
-bench-compare:
-	$(GO) test -bench . -benchmem -benchtime 1x -count 3 -run '^$$' . | $(GO) run ./cmd/benchjson -compare BENCH_quick.json -time-threshold 25
-	$(GO) test -bench '^Benchmark(Faults|Degraded)$$' -benchmem -benchtime 5x -count 3 -run '^$$' . | $(GO) run ./cmd/benchjson -compare BENCH_faults.json -time-threshold 25
 
 # The flat-heap gate for long-horizon runs: BenchmarkLongRun replays the
 # longrun source workload at 1x and 10x the simulated makespan and fails

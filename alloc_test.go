@@ -1,0 +1,52 @@
+//go:build !race
+
+// The race detector instruments allocations, so the counts below only
+// hold in ordinary builds.
+
+package diskthru_test
+
+import (
+	"testing"
+
+	"diskthru/internal/experiments"
+)
+
+// allocSlack is how far a driver's allocation count may rise above its
+// budget before TestDriverAllocBudget fails.
+const allocSlack = 1.10
+
+// driverAllocs are the heap allocations of one serial Quick-scale run
+// of each driver, measured on linux/amd64 with Go 1.24. Allocation
+// counts are deterministic to within a few tenths of a percent, so they
+// gate tightly where wall time cannot. A change that lowers a count for
+// good should lower its budget too.
+var driverAllocs = []struct {
+	name   string
+	allocs float64
+}{
+	{"table2", 126235},
+	{"fig7", 108879},
+	{"longrun", 48759},
+}
+
+// TestDriverAllocBudget fails when a driver allocates more than
+// allocSlack times its recorded budget: the Table 2 pipeline, the Web
+// striping sweep, and the open-loop long-run source.
+func TestDriverAllocBudget(t *testing.T) {
+	for _, d := range driverAllocs {
+		t.Run(d.name, func(t *testing.T) {
+			o := experiments.Quick()
+			o.Parallelism = 1
+			got := testing.AllocsPerRun(1, func() {
+				if _, err := experiments.Run(d.name, o); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%s: %.0f allocs/run (budget %.0f)", d.name, got, d.allocs)
+			if limit := allocSlack * d.allocs; got > limit {
+				t.Errorf("%s: %.0f allocs/run, above %.2f x budget %.0f = %.0f",
+					d.name, got, allocSlack, d.allocs, limit)
+			}
+		})
+	}
+}

@@ -1,253 +1,14 @@
 package diskthru_test
 
-// One benchmark per paper table and figure (plus the DESIGN.md
-// ablations). Each benchmark regenerates its experiment at the Quick
-// scale and reports the headline quantity of that figure as a custom
-// metric, so `go test -bench . -benchmem` doubles as a full reproduction
-// sweep. EXPERIMENTS.md records the Defaults-scale numbers.
+// The driver-level benchmark harness lives in bench/ (see
+// bench/README.md); the packages keep their own micro-benchmarks.
 
 import (
-	"math"
 	"runtime"
 	"testing"
 
 	"diskthru"
-	"diskthru/internal/experiments"
-	"diskthru/internal/probe"
 )
-
-func benchOptions() experiments.Options { return experiments.Quick() }
-
-// reportHeap records the run's memory trajectory alongside the timing
-// metrics: live heap after a final collection (heapMB), bytes allocated
-// per iteration (totalMB/op), and GC cycles per iteration (gcs/op). The
-// numbers land in BENCH_quick.json through `make bench`, and
-// bench-compare diffs heapMB across commits the way it diffs ns/op.
-func reportHeap(b *testing.B, before, after *runtime.MemStats) {
-	b.ReportMetric(float64(after.HeapAlloc)/(1<<20), "heapMB")
-	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/(1<<20), "totalMB/op")
-	b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gcs/op")
-}
-
-// runExperiment executes the named experiment b.N times and returns the
-// last table for metric extraction.
-func runExperiment(b *testing.B, name string) *experiments.Table {
-	b.Helper()
-	runtime.GC()
-	var m0 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	var tb *experiments.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		tb, err = experiments.Run(name, benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	runtime.GC()
-	var m1 runtime.MemStats
-	runtime.ReadMemStats(&m1)
-	reportHeap(b, &m0, &m1)
-	return tb
-}
-
-// lastOf reports the final row's value in the named column, skipping NaN.
-func lastOf(tb *experiments.Table, col string) float64 {
-	vals := tb.Column(col)
-	for i := len(vals) - 1; i >= 0; i-- {
-		if !math.IsNaN(vals[i]) {
-			return vals[i]
-		}
-	}
-	return math.NaN()
-}
-
-func BenchmarkTable1Defaults(b *testing.B) {
-	tb := runExperiment(b, "table1")
-	b.ReportMetric(float64(len(tb.Rows)), "params")
-}
-
-func BenchmarkFig1Fragmentation(b *testing.B) {
-	tb := runExperiment(b, "fig1")
-	// Average sequential read of 32-block files at 5% fragmentation
-	// (paper: ~12 blocks).
-	b.ReportMetric(tb.Rows[2].Values[0], "blks@5%")
-}
-
-func BenchmarkFig2Popularity(b *testing.B) {
-	tb := runExperiment(b, "fig2")
-	b.ReportMetric(tb.Rows[0].Values[0], "webTopCount")
-}
-
-func BenchmarkFig3FileSize(b *testing.B) {
-	tb := runExperiment(b, "fig3")
-	// Normalized FOR I/O time for 16-KB files (paper: ~0.60).
-	b.ReportMetric(tb.Column("FOR")[2], "FOR@16KB")
-}
-
-func BenchmarkFig4Streams(b *testing.B) {
-	tb := runExperiment(b, "fig4")
-	b.ReportMetric(lastOf(tb, "FOR"), "FOR@1024strm")
-}
-
-func BenchmarkFig5Zipf(b *testing.B) {
-	tb := runExperiment(b, "fig5")
-	b.ReportMetric(lastOf(tb, "HDC hit%"), "hit%@alpha1")
-}
-
-func BenchmarkFig6Writes(b *testing.B) {
-	tb := runExperiment(b, "fig6")
-	b.ReportMetric(lastOf(tb, "FOR"), "FOR@60%wr")
-}
-
-func BenchmarkFig7WebStriping(b *testing.B) {
-	tb := runExperiment(b, "fig7")
-	b.ReportMetric(tb.Column("FOR+HDC")[2], "secs@16KB")
-}
-
-func BenchmarkFig8WebHDCSize(b *testing.B) {
-	tb := runExperiment(b, "fig8")
-	b.ReportMetric(lastOf(tb, "HDC hit%"), "hit%@3MB")
-}
-
-func BenchmarkFig9ProxyStriping(b *testing.B) {
-	tb := runExperiment(b, "fig9")
-	b.ReportMetric(tb.Column("FOR+HDC")[4], "secs@64KB")
-}
-
-func BenchmarkFig10ProxyHDCSize(b *testing.B) {
-	tb := runExperiment(b, "fig10")
-	b.ReportMetric(lastOf(tb, "HDC hit%"), "hit%@3MB")
-}
-
-func BenchmarkFig11FileStriping(b *testing.B) {
-	tb := runExperiment(b, "fig11")
-	b.ReportMetric(lastOf(tb, "FOR+HDC"), "secs@256KB")
-}
-
-func BenchmarkFig12FileHDCSize(b *testing.B) {
-	tb := runExperiment(b, "fig12")
-	b.ReportMetric(lastOf(tb, "HDC hit%"), "hit%@3MB")
-}
-
-func BenchmarkTable2Summary(b *testing.B) {
-	tb := runExperiment(b, "table2")
-	// Web-server FOR+HDC improvement (paper: 47%).
-	b.ReportMetric(tb.Column("FOR+HDC")[0], "web%")
-	b.ReportMetric(tb.Column("FOR+HDC")[1], "proxy%")
-	b.ReportMetric(tb.Column("FOR+HDC")[2], "file%")
-}
-
-// BenchmarkProgressProbe is BenchmarkTable2Summary with a live progress
-// tracker attached — the daemon's per-job configuration. Comparing the
-// two pins the probe's overhead: the hook rides the replay engine's
-// event batching, so the delta must stay within noise (< 1%).
-func BenchmarkProgressProbe(b *testing.B) {
-	var tb *experiments.Table
-	for i := 0; i < b.N; i++ {
-		opts := benchOptions()
-		opts.Progress = probe.NewProgress()
-		var err error
-		tb, err = experiments.Run("table2", opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if f := opts.Progress.Snapshot().Fraction(); f != 1 {
-			b.Fatalf("fraction %v after completion; want 1", f)
-		}
-	}
-	b.ReportMetric(tb.Column("FOR+HDC")[0], "web%")
-}
-
-func BenchmarkAblationFOREviction(b *testing.B) {
-	tb := runExperiment(b, "ablation-for-eviction")
-	b.ReportMetric(lastOf(tb, "FOR/MRU"), "MRU@alpha1")
-}
-
-func BenchmarkAblationScheduler(b *testing.B) {
-	tb := runExperiment(b, "ablation-scheduler")
-	b.ReportMetric(tb.Column("LOOK")[0], "segmLOOKsecs")
-}
-
-func BenchmarkAblationCoalescing(b *testing.B) {
-	tb := runExperiment(b, "ablation-coalescing")
-	b.ReportMetric(lastOf(tb, "FOR"), "FOR@perfect")
-}
-
-func BenchmarkAblationHDCPlanner(b *testing.B) {
-	tb := runExperiment(b, "ablation-hdc-planner")
-	b.ReportMetric(tb.Column("HDC hit%")[1], "historyHit%")
-}
-
-func BenchmarkAblationSegmentGeometry(b *testing.B) {
-	tb := runExperiment(b, "ablation-segment-geometry")
-	b.ReportMetric(lastOf(tb, "Segm"), "segm@512KB")
-}
-
-func BenchmarkValidationMicro(b *testing.B) {
-	tb := runExperiment(b, "validation")
-	b.ReportMetric(tb.Column("error%")[0], "err%4KBread")
-}
-
-func BenchmarkExtRAID1(b *testing.B) {
-	tb := runExperiment(b, "ext-raid1")
-	b.ReportMetric(lastOf(tb, "I/O time (s)"), "coopSecs")
-}
-
-func BenchmarkExtSyncCost(b *testing.B) {
-	tb := runExperiment(b, "ext-sync")
-	b.ReportMetric(tb.Column("delta%")[1], "delta%@30s")
-}
-
-func BenchmarkExtIssueMode(b *testing.B) {
-	tb := runExperiment(b, "ext-issue")
-	b.ReportMetric(lastOf(tb, "FOR (sequential)"), "FORseq@1024")
-}
-
-func BenchmarkExtServers(b *testing.B) {
-	tb := runExperiment(b, "ext-servers")
-	b.ReportMetric(lastOf(tb, "FOR/Segm"), "oltpRatio")
-}
-
-func BenchmarkExtZoned(b *testing.B) {
-	tb := runExperiment(b, "ext-zoned")
-	b.ReportMetric(lastOf(tb, "FOR/Segm"), "zonedRatio")
-}
-
-func BenchmarkExtVictim(b *testing.B) {
-	tb := runExperiment(b, "ext-victim")
-	b.ReportMetric(lastOf(tb, "HDC hit%"), "victimHit%")
-}
-
-func BenchmarkExtLatency(b *testing.B) {
-	tb := runExperiment(b, "ext-latency")
-	b.ReportMetric(lastOf(tb, "FOR p99"), "FORp99ms")
-}
-
-func BenchmarkExtDegraded(b *testing.B) {
-	tb := runExperiment(b, "ext-degraded")
-	b.ReportMetric(lastOf(tb, "I/O time (s)"), "degradedSecs")
-}
-
-func BenchmarkFaults(b *testing.B) {
-	tb := runExperiment(b, "faults")
-	// The "none" and "rate 0" FOR rows agree exactly when the error paths
-	// are free; the metric reports their absolute difference (want 0).
-	forr := tb.Column("FOR")
-	b.ReportMetric(math.Abs(forr[1]-forr[0]), "zeroRateDelta")
-	b.ReportMetric(lastOf(tb, "FOR retries"), "retries@5%")
-}
-
-func BenchmarkDegraded(b *testing.B) {
-	tb := runExperiment(b, "degraded")
-	b.ReportMetric(lastOf(tb, "slowdown"), "slowdown")
-	b.ReportMetric(lastOf(tb, "redirects"), "redirects")
-}
-
-func BenchmarkModelVsSim(b *testing.B) {
-	tb := runExperiment(b, "model-vs-sim")
-	b.ReportMetric(tb.Column("simulated")[0], "perOpRatio")
-}
 
 // BenchmarkLongRun pins the tentpole guarantee of the constant-memory
 // path: simulation memory is independent of the makespan. It replays
@@ -255,8 +16,8 @@ func BenchmarkModelVsSim(b *testing.B) {
 // streaming statistics on) at 1x and 10x the simulated horizon and
 // requires the live heap after the long run to stay within 10% of the
 // short one — O(1) in simulated hours, not O(makespan). The two heap
-// readings and their ratio are reported, so `make bench` records them
-// in BENCH_quick.json.
+// readings and their ratio are reported as custom metrics. It is the
+// flat-heap gate `make bench-long`, part of `make check`.
 func BenchmarkLongRun(b *testing.B) {
 	const rate = 400
 	const baseHours = 0.02 // 10x = 0.2 simulated hours = 288k arrivals

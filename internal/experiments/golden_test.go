@@ -14,23 +14,6 @@ import (
 // them: go test ./internal/experiments -run TestGoldenTables -update
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current code")
 
-// goldenDrivers are the drivers whose Quick-scale tables are pinned
-// byte for byte in testdata/golden/<name>.txt. Every other equivalence
-// check in this package is relative (serial vs parallel, remote vs
-// local); these files catch a change that shifts every path at once.
-var goldenDrivers = []string{
-	"degraded",
-	"table2",
-	"fig9",
-	"ablation-for-eviction",
-	"ablation-segment-geometry",
-	"ext-victim",
-	"ablation-hdc-planner",
-	"ext-raid1",
-	"fig6",
-	"longrun",
-}
-
 // goldenSeeds are the Options.Seed values each golden file covers.
 var goldenSeeds = []int64{0, 7}
 
@@ -51,8 +34,13 @@ func renderGolden(name string) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// TestGoldenTables pins every registered driver's Quick-scale tables
+// byte for byte in testdata/golden/<name>.txt. Every other equivalence
+// check in this package is relative (serial vs parallel, remote vs
+// local); these files catch a change that shifts every path at once.
+// Iterating the registry means a new driver cannot go unpinned.
 func TestGoldenTables(t *testing.T) {
-	for _, name := range goldenDrivers {
+	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
 			got, err := renderGolden(name)
 			if err != nil {

@@ -2,9 +2,13 @@
 
 GO ?= go
 
-.PHONY: check vet build test race allocs bench-long bench-smoke fuzz profile results serve-smoke fleet-smoke crash-smoke metrics-lint
+.PHONY: check fmt vet build test race allocs bench-long bench-smoke fuzz profile results serve-smoke fleet-smoke crash-smoke metrics-lint
 
-check: vet build race allocs fuzz metrics-lint serve-smoke fleet-smoke crash-smoke bench-long bench-smoke
+check: fmt vet build race allocs fuzz metrics-lint serve-smoke fleet-smoke crash-smoke bench-long bench-smoke
+
+# The tree stays gofmt-clean: fail listing any file gofmt would change.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

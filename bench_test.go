@@ -13,7 +13,8 @@ import (
 // BenchmarkLongRun pins the tentpole guarantee of the constant-memory
 // path: simulation memory is independent of the makespan. It replays
 // the longrun source workload (generated arrivals, spill-to-writer off,
-// streaming statistics on) at 1x and 10x the simulated horizon and
+// the streaming statistics every source workload gets) at 1x and 10x
+// the simulated horizon and
 // requires the live heap after the long run to stay within 10% of the
 // short one — O(1) in simulated hours, not O(makespan). The two heap
 // readings and their ratio are reported as custom metrics. It is the
@@ -31,7 +32,6 @@ func BenchmarkLongRun(b *testing.B) {
 		}
 		cfg := diskthru.DefaultConfig()
 		cfg.ArrivalRate = rate
-		cfg.StreamStats = true
 		res, err := diskthru.Run(w, cfg)
 		if err != nil {
 			b.Fatal(err)

@@ -61,7 +61,6 @@ func run() int {
 		stateDir  = flag.String("state-dir", "", "journal accepted cell payloads under this directory so a killed sweep can resume (empty = off)")
 		resume    = flag.Bool("resume", false, "reload the journal in -state-dir and skip cells it already holds (requires -state-dir)")
 		timeout   = flag.Duration("timeout", 0, "abort the whole sweep after this long (0 = no limit)")
-		streamSt  = flag.Bool("stream-stats", false, "aggregate open-loop latencies in a constant-memory streaming sketch")
 		format    = flag.String("format", "text", "output format: text | csv")
 		metrAddr  = flag.String("metrics-addr", "", "serve the coordinator's /metrics on this address (empty = off)")
 		logFormat = flag.String("log-format", "text", "log record encoding: text or json")
@@ -139,7 +138,6 @@ func run() int {
 	}
 	opts.Seed = *seed
 	opts.Parallelism = *jobs
-	opts.StreamStats = *streamSt
 
 	ctx := context.Background()
 	if *timeout > 0 {

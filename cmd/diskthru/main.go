@@ -60,7 +60,6 @@ func run() int {
 		seed      = flag.Int64("seed", 0, "seed offset for replication runs")
 		jobs      = flag.Int("j", 0, "simulation cells run concurrently per experiment (0 = GOMAXPROCS; tables are identical at any value)")
 		timeout   = flag.Duration("timeout", 0, "abort the whole invocation after this long (same cancellation path diskthrud uses; 0 = no limit)")
-		streamSt  = flag.Bool("stream-stats", false, "aggregate open-loop latencies in a constant-memory streaming sketch (exact count/mean/max, percentiles to one bucket width) instead of retaining every sample")
 		timing    = flag.Bool("time", false, "print wall-clock time per experiment")
 		format    = flag.String("format", "text", "output format: text | csv")
 		tracePath = flag.String("trace", "", "write a per-request lifecycle trace (JSONL) to this file")
@@ -126,7 +125,6 @@ func run() int {
 	}
 	opts.Seed = *seed
 	opts.Parallelism = *jobs
-	opts.StreamStats = *streamSt
 	if *timeout > 0 {
 		// The one-shot run rides the same context-cancellation path the
 		// job daemon uses: the deadline reaches the event loop through

@@ -126,16 +126,6 @@ type Config struct {
 	// Result carries response-time percentiles. Zero (default) replays
 	// closed-loop "as fast as possible", the paper's methodology.
 	ArrivalRate float64
-	// StreamStats switches open-loop latency aggregation from the exact
-	// two-pass histogram (which retains every response time until the
-	// run ends — O(records) memory) to a constant-memory streaming
-	// sketch: count, mean, and max stay exact, while percentiles come
-	// from a log-bucketed sketch accurate to one bucket width (~4.4%
-	// relative). Off by default so every existing table stays
-	// byte-identical; required reading for long-horizon runs, where it
-	// makes memory independent of makespan (see DESIGN.md, "Memory
-	// model"). Ignored by closed-loop runs, which report no latencies.
-	StreamStats bool
 	// FailedDisk, when in [1, Disks], marks that physical disk as down;
 	// its mirror partner absorbs the load. Requires Mirrored.
 	FailedDisk int

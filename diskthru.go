@@ -386,13 +386,20 @@ func RunContext(ctx context.Context, w *Workload, cfg Config) (Result, error) {
 		RequestTimeout: cfg.RequestTimeoutSeconds,
 		DiskBlocks:     r.geom.Blocks(),
 	}
-	// Streaming aggregation: response times fold into a fixed-size
-	// sketch as they complete instead of accumulating per-sample. The
-	// default path is untouched so its tables stay byte-identical.
-	var stream *stats.StreamSummary
-	if cfg.StreamStats && cfg.ArrivalRate > 0 {
-		stream = &stats.StreamSummary{}
-		hostCfg.OnLatency = stream.Observe
+	// The workload's kind picks the latency summary. A source workload
+	// is unbounded, so its response times fold into a fixed-size sketch
+	// as they complete. A materialized trace already holds O(records),
+	// so its response times are kept for the exact two-pass summary.
+	var (
+		sketch    *stats.StreamSummary
+		latencies []float64
+	)
+	if source {
+		sketch = &stats.StreamSummary{}
+		hostCfg.OnLatency = sketch.Observe
+	} else if cfg.ArrivalRate > 0 {
+		latencies = make([]float64, 0, inner.Trace.Len())
+		hostCfg.OnLatency = func(v float64) { latencies = append(latencies, v) }
 	}
 	h, err := host.New(r.sim, r.disks, r.striper, inner.Layout, hostCfg)
 	if err != nil {
@@ -410,9 +417,9 @@ func RunContext(ctx context.Context, w *Workload, cfg Config) (Result, error) {
 	}
 	watchProgress(r.sim, cfg.Progress)
 	if source {
-		h.StartOpen(inner.NewSource())
+		h.Start(inner.NewSource())
 	} else {
-		h.Start(inner.Trace)
+		h.Start(inner.Trace.Source())
 	}
 	r.sim.Run()
 	if r.sim.Cancelled() {
@@ -422,10 +429,10 @@ func RunContext(ctx context.Context, w *Workload, cfg Config) (Result, error) {
 	}
 	end := h.Makespan()
 	res := collectResult(end, r, h.IssuedRequests)
-	if stream != nil {
-		res.Latency = summarizeStream(stream)
+	if sketch != nil {
+		res.Latency = summarizeStream(sketch)
 	} else {
-		res.Latency = summarizeLatencies(h.Latencies)
+		res.Latency = summarizeLatencies(latencies)
 	}
 	res.Redirects = h.Redirects()
 	for i, n := range h.Timeouts() {

@@ -40,7 +40,6 @@ func LongRun(o Options) (*Table, error) {
 	}
 	cfg := baseConfig()
 	cfg.ArrivalRate = longRunRate
-	cfg.StreamStats = true
 	systems := []diskthru.System{diskthru.Segm, diskthru.FOR}
 	r := newRunner(o)
 	cells := r.compare(wr, cfg, systems)

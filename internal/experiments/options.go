@@ -36,13 +36,6 @@ type Options struct {
 	// -timeout flag both cancel through this field. Nil means run to
 	// completion, exactly as before the field existed.
 	Ctx context.Context
-	// StreamStats switches every open-loop cell to the constant-memory
-	// streaming latency sketch (see diskthru.Config.StreamStats): count,
-	// mean, and max stay exact, percentiles become sketch midpoints
-	// accurate to one bucket width. Off by default so every committed
-	// table stays byte-identical; cmd/diskthru's -stream-stats flag and
-	// the job API's stream_stats field set it.
-	StreamStats bool
 	// Progress, when non-nil, receives live-progress updates while the
 	// experiment runs: the runner reports the cell plan and each cell
 	// completion, and every cell's replay engine reports events fired

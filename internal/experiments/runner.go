@@ -25,12 +25,11 @@ import (
 // cell can run on another machine and have its slot filled by wire
 // payload instead of local execution.
 type runner struct {
-	par    int
-	ctx    context.Context // never nil; Background when Options.Ctx is unset
-	prog   *probe.Progress // nil-safe; reports cell plan + completions
-	stream bool            // Options.StreamStats, threaded into every cell
-	sess   *cellSession    // nil outside RunCellExec / RunWithCellExec
-	cells  []cellEntry
+	par   int
+	ctx   context.Context // never nil; Background when Options.Ctx is unset
+	prog  *probe.Progress // nil-safe; reports cell plan + completions
+	sess  *cellSession    // nil outside RunCellExec / RunWithCellExec
+	cells []cellEntry
 }
 
 // cellEntry is one cell plus the metadata remote execution needs: the
@@ -46,8 +45,7 @@ func newRunner(o Options) *runner {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &runner{par: o.parallelism(), ctx: ctx, prog: o.Progress,
-		stream: o.StreamStats, sess: o.cells}
+	return &runner{par: o.parallelism(), ctx: ctx, prog: o.Progress, sess: o.cells}
 }
 
 // add appends one bare-computation cell. Cells must not read other
@@ -101,14 +99,13 @@ func (wr *workloadRef) get() (*diskthru.Workload, error) {
 }
 
 // replay executes one diskthru.Run inside a cell, threading in the
-// runner's context, progress tracker and streaming flag.
+// runner's context and progress tracker.
 func (r *runner) replay(wr *workloadRef, cfg diskthru.Config) (diskthru.Result, error) {
 	w, err := wr.get()
 	if err != nil {
 		return diskthru.Result{}, err
 	}
 	cfg.Progress = r.prog
-	cfg.StreamStats = cfg.StreamStats || r.stream
 	return diskthru.RunContext(r.ctx, w, cfg)
 }
 

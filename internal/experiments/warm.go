@@ -55,9 +55,9 @@ func (o *Options) initWarm(name string) {
 	o.warm = &warmState{cache: o.WorkloadCache, scope: warmScope(name, *o)}
 }
 
-// warmScope fingerprints the workload-shaping inputs. Parallelism, Ctx,
-// StreamStats and Progress are excluded on purpose: none of them affect
-// what a driver builds.
+// warmScope fingerprints the workload-shaping inputs. Parallelism, Ctx
+// and Progress are excluded on purpose: none of them affect what a
+// driver builds.
 func warmScope(name string, o Options) string {
 	return fmt.Sprintf("%s|syn=%d|web=%g|proxy=%g|file=%g|seed=%d",
 		name, o.SynRequests, o.WebScale, o.ProxyScale, o.FileScale, o.Seed)

@@ -378,11 +378,15 @@ func (c *Coordinator) Run(ctx context.Context, experiment string, o experiments.
 // sweepRecord is one entry of the coordinator's journal: a "sweep"
 // header fingerprinting the run, or one accepted "cell" payload.
 type sweepRecord struct {
-	Type       string              `json:"type"`
-	Experiment string              `json:"experiment,omitempty"`
-	Spec       *serve.Spec         `json:"spec,omitempty"`
-	Cell       *experiments.CellID `json:"cell,omitempty"`
-	Payload    []byte              `json:"payload,omitempty"`
+	Type       string `json:"type"`
+	Experiment string `json:"experiment,omitempty"`
+	// Spec is the header's marshaled base spec, kept as the exact bytes
+	// journaled. Comparing bytes, not a decoded serve.Spec (which drops
+	// fields this version does not know), makes a journal written by a
+	// version with another spec shape fail closed.
+	Spec    json.RawMessage     `json:"spec,omitempty"`
+	Cell    *experiments.CellID `json:"cell,omitempty"`
+	Payload []byte              `json:"payload,omitempty"`
 }
 
 // baseSpec is the cell submission without the cell — the part shared by
@@ -413,10 +417,13 @@ func (c *Coordinator) openSweepJournal() error {
 			return fmt.Errorf("fleet: resetting journal: %w", err)
 		}
 	}
-	base := c.baseSpec()
+	base, err := json.Marshal(c.baseSpec())
+	if err != nil {
+		return fmt.Errorf("fleet: fingerprinting the sweep: %w", err)
+	}
 	var (
 		headerExp  string
-		headerSpec *serve.Spec
+		headerSpec json.RawMessage
 		resumed    = make(map[experiments.CellID][]byte)
 	)
 	w, torn, err := journal.Open(path, func(p []byte) error {
@@ -441,9 +448,7 @@ func (c *Coordinator) openSweepJournal() error {
 		c.log.Warn("journal had a torn final record; tail truncated")
 	}
 	if headerExp != "" {
-		wantFP, _ := json.Marshal(base)
-		gotFP, _ := json.Marshal(headerSpec)
-		if headerExp != c.experiment || string(wantFP) != string(gotFP) {
+		if headerExp != c.experiment || !bytes.Equal(base, headerSpec) {
 			_ = w.Close()
 			return fmt.Errorf("fleet: journal in %s fingerprints a different sweep (%s) than requested (%s); not resuming",
 				c.cfg.StateDir, headerExp, c.experiment)
@@ -458,7 +463,7 @@ func (c *Coordinator) openSweepJournal() error {
 	} else {
 		// Empty journal (fresh run, or resume of a sweep that never got
 		// its header out): stamp the fingerprint before any cell.
-		b, err := json.Marshal(sweepRecord{Type: "sweep", Experiment: c.experiment, Spec: &base})
+		b, err := json.Marshal(sweepRecord{Type: "sweep", Experiment: c.experiment, Spec: base})
 		if err == nil {
 			err = w.Append(b)
 		}
@@ -657,7 +662,6 @@ func (c *Coordinator) spec(id experiments.CellID) serve.Spec {
 		Experiment:  c.experiment,
 		Parallelism: 1,
 		Seed:        c.opts.Seed,
-		StreamStats: c.opts.StreamStats,
 		SynRequests: c.opts.SynRequests,
 		WebScale:    c.opts.WebScale,
 		ProxyScale:  c.opts.ProxyScale,

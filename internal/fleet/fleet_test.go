@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"diskthru/internal/experiments"
+	"diskthru/internal/journal"
 	"diskthru/internal/metrics"
 	"diskthru/internal/serve"
 )
@@ -436,4 +438,58 @@ func TestFleetResumePartialJournal(t *testing.T) {
 		t.Error("truncated journal resumed everything; the torn record was not dropped")
 	}
 	t.Logf("partial resume: %v resumed, %v re-dispatched of %v", resumed, redone, total)
+}
+
+// TestFleetResumeRefusesForeignSpec: a journal whose header spec carries
+// a field this version does not know — here the stream_stats switch of
+// coordinators that let a sweep pick its latency summary — must fail
+// closed on resume, even though it decodes to exactly this sweep's
+// spec: its cells may have been computed differently.
+func TestFleetResumeRefusesForeignSpec(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	deadURL := dead.URL
+	dead.Close()
+	dir := t.TempDir()
+	c, err := New(Config{Endpoints: []string{deadURL}, StateDir: dir, Resume: true,
+		DisableLocalFallback: true, MaxAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := experiments.Quick()
+	c.experiment, c.opts = "longrun", o
+	base, err := json.Marshal(c.baseSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := strings.Replace(string(base), `"parallelism":1,`, `"parallelism":1,"stream_stats":true,`, 1)
+	if legacy == string(base) {
+		t.Fatalf("base spec %s has no parallelism field to splice after", base)
+	}
+	var decoded serve.Spec
+	if err := json.Unmarshal([]byte(legacy), &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := json.Marshal(decoded); string(again) != string(base) {
+		t.Fatalf("legacy header no longer decodes to this sweep's spec:\n%s\n%s", again, base)
+	}
+
+	w, _, err := journal.Open(filepath.Join(dir, "fleet.journal"), func([]byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []string{
+		`{"type":"sweep","experiment":"longrun","spec":` + legacy + `}`,
+		`{"type":"cell","cell":{"index":0},"payload":"UgA="}`,
+	} {
+		if err := w.Append([]byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(context.Background(), "longrun", o); err == nil ||
+		!strings.Contains(err.Error(), "different sweep") {
+		t.Fatalf("journal with a foreign spec field not refused: %v", err)
+	}
 }

@@ -71,13 +71,13 @@ type Config struct {
 	FailDisk int
 	// ArrivalRate, when positive, switches the replay open-loop: records
 	// arrive as a Poisson process at this rate (records/second) instead
-	// of being driven as fast as the streams allow, and per-record
-	// response times are collected in Latencies.
+	// of being driven as fast as the streams allow, and each record's
+	// response time goes to OnLatency.
 	ArrivalRate float64
 	// OnLatency, when non-nil, receives each open-loop record's response
-	// time instead of appending it to Latencies — the constant-memory
-	// sink streaming runs use. Ignored by closed-loop replays, which
-	// never measure per-record response times.
+	// time as it retires; the caller chooses how to summarize them.
+	// Ignored by closed-loop replays, which never measure per-record
+	// response times.
 	OnLatency func(float64)
 	// RequestTimeout, when positive, arms a per-request watchdog: a
 	// sub-request not completed within this many virtual seconds marks
@@ -140,15 +140,12 @@ type Host struct {
 	layout  *fslayout.Layout
 	rng     *rand.Rand
 
-	records     []trace.Record
-	cursor      int
-	active      int
-	openPending int
-	// openExhausted marks the open-loop arrival source spent: drained is
-	// openExhausted && openPending == 0. The trace-backed open loop sets
-	// it upfront (every arrival is scheduled before the run starts); the
-	// generator-backed loop sets it when its source runs dry.
-	openExhausted bool
+	// src is the record source the replay pulls from. active counts the
+	// work in flight: closed-loop streams still replaying, or open-loop
+	// records that have arrived and not yet retired. The replay has
+	// drained once the source is exhausted and active is zero.
+	src    source
+	active int
 
 	// streams holds the closed-loop per-stream replay state. Each stream
 	// owns a reusable sub-request buffer and a pre-bound completion
@@ -168,9 +165,6 @@ type Host struct {
 
 	// IssuedRequests counts per-disk requests submitted during replay.
 	IssuedRequests uint64
-	// Latencies holds per-record response times, populated only by
-	// open-loop replays (ArrivalRate > 0).
-	Latencies []float64
 
 	// Degraded-mode state, allocated only when RequestTimeout > 0:
 	// down marks disks the watchdog declared dead, timeouts counts the
@@ -207,14 +201,9 @@ func (h *Host) Redirects() uint64 { return h.redirects }
 func (h *Host) Aborted() uint64 { return h.aborted }
 
 // Active reports how much work is in flight: streams still replaying
-// records (closed loop) or records not yet retired (open loop). A gauge
-// for the telemetry sampler.
-func (h *Host) Active() int {
-	if h.cfg.ArrivalRate > 0 {
-		return h.openPending
-	}
-	return h.active
-}
+// records (closed loop) or records that have arrived and not yet
+// retired (open loop). A gauge for the telemetry sampler.
+func (h *Host) Active() int { return h.active }
 
 // Issued reports per-disk requests submitted so far, as a sampler
 // callback.
@@ -281,37 +270,26 @@ func (st *stream) onDone(sim.Time) {
 // or, with FlushHDCAtEnd, of the final flush. Idle background sync
 // ticks past that point do not count.
 func (h *Host) Replay(t *trace.Trace) sim.Time {
-	h.Start(t)
+	h.Start(t.Source())
 	h.sim.Run()
 	return h.lastCompletion
 }
 
-// Start seeds the simulator with the trace's replay without draining
-// it: every initial stream (closed loop) or arrival (open loop) is
-// scheduled, and the caller drains the simulator (sim.Run). Read the
-// makespan from Makespan after the queue drains.
-func (h *Host) Start(t *trace.Trace) {
-	h.records = t.Records
-	h.cursor = 0
+// Start seeds the simulator with a replay of the records next yields,
+// in order, without draining it: the closed loop starts every stream,
+// the open loop (ArrivalRate > 0) schedules its first arrival. The
+// caller drains the simulator (sim.Run) and reads the makespan from
+// Makespan. An empty source drains at once, at time zero.
+func (h *Host) Start(next func() (trace.Record, bool)) {
+	h.src = source{next: next}
 	h.active = 0
 	h.lastCompletion = 0
 	if h.cfg.ArrivalRate > 0 {
-		h.startOpenLoop()
-		return
+		h.startOpen()
+	} else {
+		h.startClosed()
 	}
-	streams := h.cfg.Streams
-	if streams > len(h.records) {
-		streams = len(h.records)
-	}
-	h.streams = make([]stream, streams)
-	for i := range h.streams {
-		st := &h.streams[i]
-		st.h = h
-		st.done = st.onDone
-		h.active++
-		h.startNext(st)
-	}
-	if h.cfg.SyncHDCEvery > 0 {
+	if h.cfg.SyncHDCEvery > 0 && !h.drained() {
 		h.scheduleSync()
 	}
 }
@@ -320,148 +298,93 @@ func (h *Host) Start(t *trace.Trace) {
 // operation — valid once the simulator has drained after Start.
 func (h *Host) Makespan() sim.Time { return h.lastCompletion }
 
-// startOpenLoop injects records as a Poisson arrival process and
-// collects per-record response times. Concurrency is unbounded, as in
-// an open system; the makespan is the last completion.
-func (h *Host) startOpenLoop() {
-	if h.cfg.OnLatency == nil {
-		h.Latencies = make([]float64, 0, len(h.records))
-	}
-	arrivals := dist.NewRand(h.cfg.Seed + 0x9e3779b9)
-	at := 0.0
-	h.openPending = len(h.records)
-	h.openExhausted = true // every arrival is scheduled upfront
-	for i := range h.records {
-		rec := h.records[i]
-		at += arrivals.ExpFloat64() / h.cfg.ArrivalRate
-		arrival := at
-		h.sim.At(at, func(sim.Time) {
-			// Requests are all submitted before this event returns, so the
-			// shared open-loop buffer can be reused by the next arrival.
-			reqs := h.buildRequestsInto(h.openBuf[:0], rec)
-			h.openBuf = reqs[:0]
-			if len(reqs) == 0 {
-				h.openRetire()
-				return
-			}
-			remaining := len(reqs)
-			done := func(now sim.Time) {
-				remaining--
-				if remaining == 0 {
-					h.observeLatency(now - arrival)
-					h.stamp(now)
-					h.openRetire()
-				}
-			}
-			for _, r := range reqs {
-				h.submit(rec, r, done)
-			}
-		})
-	}
-	h.cursor = len(h.records) // mark the trace consumed for scheduleSync
-	if h.cfg.SyncHDCEvery > 0 {
-		h.scheduleSync()
+// startClosed starts every stream. All of them count as active before
+// the first pulls, so streams that find the source already empty retire
+// without draining the replay early.
+func (h *Host) startClosed() {
+	h.streams = make([]stream, h.cfg.Streams)
+	h.active = len(h.streams)
+	for i := range h.streams {
+		st := &h.streams[i]
+		st.h = h
+		st.done = st.onDone
+		h.startNext(st)
 	}
 }
 
-// observeLatency routes one open-loop response time to the configured
-// sink: the streaming callback when set, the buffered slice otherwise.
-func (h *Host) observeLatency(v float64) {
-	if h.cfg.OnLatency != nil {
-		h.cfg.OnLatency(v)
-		return
-	}
-	h.Latencies = append(h.Latencies, v)
-}
-
-// ReplayOpen replays a generated arrival stream open-loop without ever
-// materializing it: next is called once per record, in arrival order,
-// and the chain schedules exactly one future arrival at a time, so both
-// the event queue and the host stay O(1) in the stream's length (the
-// constant-memory path BenchmarkLongRun pins down). Inter-arrival gaps
-// are Poisson at Config.ArrivalRate, drawn from the same seeded stream
-// the trace-backed open loop uses. Response times flow through
-// Config.OnLatency (or Latencies when unset — which reintroduces
-// O(records) growth, so streaming callers always set the callback).
-func (h *Host) ReplayOpen(next func() (trace.Record, bool)) sim.Time {
-	h.StartOpen(next)
-	h.sim.Run()
-	return h.lastCompletion
-}
-
-// StartOpen is ReplayOpen without the drain: the generator chain's
-// first arrival is scheduled and the caller drives the simulator (see
-// Start).
-func (h *Host) StartOpen(next func() (trace.Record, bool)) {
-	if h.cfg.ArrivalRate <= 0 {
-		panic("host: ReplayOpen requires an arrival rate")
-	}
-	h.records = nil
-	h.cursor = 0
-	h.active = 0
-	h.lastCompletion = 0
-	h.openPending = 0
-	h.openExhausted = false
+// startOpen chains the open loop's Poisson arrivals: each arrival pulls
+// the next record and schedules it, so exactly one future arrival is
+// pending at a time and the event queue stays O(in-flight) however long
+// the source runs. Concurrency is unbounded, as in an open system; the
+// makespan is the last completion.
+func (h *Host) startOpen() {
 	arrivals := dist.NewRand(h.cfg.Seed + 0x9e3779b9)
 	var schedule func()
 	schedule = func() {
-		rec, ok := next()
+		rec, ok := h.src.pull()
 		if !ok {
-			h.openExhausted = true
-			if h.openPending == 0 {
-				// Everything already retired (or the stream was empty):
-				// finish now; no future arrival will trigger it.
+			if h.active == 0 {
+				// Everything already retired (or the source was empty):
+				// finish now; no completion will trigger it.
 				h.onDrained()
 			}
 			return
 		}
 		h.sim.After(arrivals.ExpFloat64()/h.cfg.ArrivalRate, func(now sim.Time) {
-			h.openPending++
-			arrival := now
-			reqs := h.buildRequestsInto(h.openBuf[:0], rec)
-			h.openBuf = reqs[:0]
-			if len(reqs) == 0 {
-				h.openRetire()
-			} else {
-				remaining := len(reqs)
-				done := func(now sim.Time) {
-					remaining--
-					if remaining == 0 {
-						h.observeLatency(now - arrival)
-						h.stamp(now)
-						h.openRetire()
-					}
-				}
-				for _, r := range reqs {
-					h.submit(rec, r, done)
-				}
-			}
-			schedule() // chain the next arrival
+			h.active++
+			h.arrive(rec, now)
+			schedule()
 		})
 	}
 	schedule()
-	if h.cfg.SyncHDCEvery > 0 {
-		h.scheduleSync()
+}
+
+// arrive issues one open-loop record at its arrival time. Its last
+// sub-request completion reports the response time and retires it.
+func (h *Host) arrive(rec trace.Record, arrival sim.Time) {
+	// Requests are all submitted before this returns, so the shared
+	// open-loop buffer can be reused by the next arrival.
+	reqs := h.buildRequestsInto(h.openBuf[:0], rec)
+	h.openBuf = reqs[:0]
+	if len(reqs) == 0 {
+		h.retire()
+		return
+	}
+	remaining := len(reqs)
+	done := func(now sim.Time) {
+		remaining--
+		if remaining == 0 {
+			if h.cfg.OnLatency != nil {
+				h.cfg.OnLatency(now - arrival)
+			}
+			h.stamp(now)
+			h.retire()
+		}
+	}
+	for _, r := range reqs {
+		h.submit(rec, r, done)
 	}
 }
 
-// openRetire accounts one open-loop record's completion.
-func (h *Host) openRetire() {
-	h.openPending--
-	if h.openPending == 0 && h.openExhausted {
+// retire accounts one unit of in-flight work ending — a closed-loop
+// stream that found the source empty, or an open-loop record — and
+// finishes the replay once nothing is left in flight or to pull.
+func (h *Host) retire() {
+	h.active--
+	if h.drained() {
 		h.onDrained()
 	}
 }
 
+// drained reports whether the replay is over: the source is exhausted
+// and nothing is in flight.
+func (h *Host) drained() bool { return h.src.exhausted && h.active == 0 }
+
 // scheduleSync arms the next periodic flush_hdc. The chain stops when
-// the trace has drained, so the simulation terminates.
+// the replay has drained, so the simulation terminates.
 func (h *Host) scheduleSync() {
 	h.sim.After(h.cfg.SyncHDCEvery, func(sim.Time) {
-		drained := h.active == 0 && h.cursor >= len(h.records)
-		if h.cfg.ArrivalRate > 0 {
-			drained = h.openExhausted && h.openPending == 0
-		}
-		if drained {
+		if h.drained() {
 			return
 		}
 		for _, d := range h.disks {
@@ -489,18 +412,15 @@ func (h *Host) stamp(now sim.Time) {
 	}
 }
 
-// startNext advances one stream to its next trace record.
+// startNext advances one stream to its next record, retiring the
+// stream when the source is exhausted.
 func (h *Host) startNext(st *stream) {
 	for {
-		if h.cursor >= len(h.records) {
-			h.active--
-			if h.active == 0 {
-				h.onDrained()
-			}
+		rec, ok := h.src.pull()
+		if !ok {
+			h.retire()
 			return
 		}
-		rec := h.records[h.cursor]
-		h.cursor++
 		st.reqs = h.buildRequestsInto(st.reqs[:0], rec)
 		if len(st.reqs) == 0 {
 			continue // record clamped to nothing; take the next one
@@ -517,6 +437,25 @@ func (h *Host) startNext(st *stream) {
 		}
 		return
 	}
+}
+
+// source is the record source every replay pulls from: a materialized
+// trace's records (trace.Trace.Source) or a generated stream, in order.
+// Once next reports the end, the source is exhausted and next is never
+// called again.
+type source struct {
+	next      func() (trace.Record, bool)
+	exhausted bool
+}
+
+// pull takes the next record, marking the source exhausted at its end.
+func (s *source) pull() (trace.Record, bool) {
+	if s.exhausted {
+		return trace.Record{}, false
+	}
+	rec, ok := s.next()
+	s.exhausted = !ok
+	return rec, ok
 }
 
 // failed reports whether physical disk i is marked down.
@@ -701,20 +640,22 @@ func (h *Host) buildRequestsInto(dst []subRequest, rec trace.Record) []subReques
 		}
 		h.runBuf = h.striper.SplitAppend(h.runBuf[:0], h.lastBuf, window[i], j-i)
 		for _, run := range h.runBuf {
-			dst = h.splitForCoalescing(dst, run)
+			dst = splitRun(dst, run, h.rng, h.cfg.CoalesceProb)
 		}
 		i = j
 	}
 	return dst
 }
 
-// splitForCoalescing cuts a physically contiguous run at each internal
-// junction that fails the coalescing coin flip.
-func (h *Host) splitForCoalescing(reqs []subRequest, run array.Run) []subRequest {
+// splitRun applies probabilistic coalescing to one physically
+// contiguous per-disk run, appending its requests to reqs: the run is
+// cut at each internal junction whose coin flip (probability p of
+// coalescing, drawn from rng) fails.
+func splitRun(reqs []subRequest, run array.Run, rng *rand.Rand, p float64) []subRequest {
 	start := run.PBA
 	length := 1
 	for b := 1; b < run.Blocks; b++ {
-		if dist.Bernoulli(h.rng, h.cfg.CoalesceProb) {
+		if dist.Bernoulli(rng, p) {
 			length++
 			continue
 		}

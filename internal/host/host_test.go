@@ -493,3 +493,66 @@ func TestBuildBitmapsReExport(t *testing.T) {
 		t.Fatalf("%d bitmaps", len(maps))
 	}
 }
+
+// TestOpenLoopQueueBoundedByInFlight replays a materialized trace
+// open-loop far below saturation. Arrivals are chained one at a time,
+// so the event queue's high-water mark reflects the work in flight, not
+// the trace length, and every record reports one response time.
+func TestOpenLoopQueueBoundedByInFlight(t *testing.T) {
+	const records = 10000
+	r := newRig(t, 2, 32, nil)
+	for i := 0; i < 100; i++ {
+		if _, err := r.layout.Alloc(4, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := dist.NewRand(3)
+	tr := &trace.Trace{}
+	for i := 0; i < records; i++ {
+		tr.Records = append(tr.Records, trace.Record{File: int32(rng.Intn(100)), Blocks: 4})
+	}
+	var latencies int
+	h := r.host(t, Config{Streams: 1, CoalesceProb: 1, ArrivalRate: 50,
+		OnLatency: func(float64) { latencies++ }})
+	if end := h.Replay(tr); end <= 0 {
+		t.Fatal("zero makespan")
+	}
+	if latencies != records {
+		t.Fatalf("%d response times for %d records", latencies, records)
+	}
+	if h.Active() != 0 {
+		t.Fatalf("%d records still active after the drain", h.Active())
+	}
+	if got := r.sim.MaxPending(); got > 100 {
+		t.Fatalf("event queue peaked at %d pending events for %d records; want O(in-flight)", got, records)
+	}
+}
+
+// TestEmptyTraceDrainsAtZero: an empty trace finishes at time zero in
+// both loops, even with a periodic sync armed, and a closed loop with
+// more streams than records retires the idle streams without ending
+// the replay early.
+func TestEmptyTraceDrainsAtZero(t *testing.T) {
+	for _, rate := range []float64{0, 100} {
+		r := newRig(t, 1, 32, func(c *disk.Config) { c.HDCBytes = 1 << 20 })
+		h := r.host(t, Config{Streams: 4, CoalesceProb: 1, ArrivalRate: rate,
+			SyncHDCEvery: 0.05, FlushHDCAtEnd: true})
+		if end := h.Replay(&trace.Trace{}); end != 0 {
+			t.Errorf("rate %v: empty trace makespan %v, want 0", rate, end)
+		}
+		if now := r.sim.Now(); now != 0 {
+			t.Errorf("rate %v: simulator ran to %v after an empty replay", rate, now)
+		}
+	}
+
+	r := newRig(t, 1, 32, nil)
+	id, _ := r.layout.Alloc(4, 0, nil)
+	tr := &trace.Trace{Records: []trace.Record{{File: int32(id), Blocks: 4}, {File: int32(id), Blocks: 4}}}
+	h := r.host(t, Config{Streams: 8, CoalesceProb: 1})
+	if end := h.Replay(tr); end <= 0 {
+		t.Fatal("zero makespan with records to replay")
+	}
+	if st := r.disks[0].Stats(); st.Accesses() != 2 || h.Active() != 0 {
+		t.Fatalf("%d accesses and %d active streams after the drain, want 2 and 0", st.Accesses(), h.Active())
+	}
+}

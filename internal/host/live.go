@@ -59,9 +59,8 @@ type Live struct {
 	rng     *rand.Rand
 	cache   *bufcache.Cache
 
-	records        []trace.Record
-	cursor         int
-	active         int
+	src            source
+	active         int // streams still replaying
 	lastCompletion sim.Time
 
 	// victimFIFO orders each disk's pinned victim blocks for
@@ -103,16 +102,12 @@ func NewLive(s *sim.Simulator, b *bus.Bus, disks []*disk.Disk, striper array.Str
 // final dirty-cache flush is charged to the run, mirroring the offline
 // mode's end-of-run flush.
 func (l *Live) Replay(server *trace.Trace) sim.Time {
-	l.records = server.Records
-	l.cursor = 0
-	l.active = 0
+	l.src = source{next: server.Source()}
 	l.lastCompletion = 0
-	streams := l.cfg.Streams
-	if streams > len(l.records) {
-		streams = len(l.records)
-	}
-	for i := 0; i < streams; i++ {
-		l.active++
+	// Every stream counts as active before the first pulls, as in the
+	// offline closed loop, so the replay drains exactly once.
+	l.active = l.cfg.Streams
+	for i := 0; i < l.cfg.Streams; i++ {
 		l.startNext()
 	}
 	l.sim.Run()
@@ -148,15 +143,14 @@ func (l *Live) stamp(now sim.Time) {
 // cache complete instantly; only disk reads block the stream.
 func (l *Live) startNext() {
 	for {
-		if l.cursor >= len(l.records) {
+		rec, ok := l.src.pull()
+		if !ok {
 			l.active--
 			if l.active == 0 {
 				l.onDrained()
 			}
 			return
 		}
-		rec := l.records[l.cursor]
-		l.cursor++
 		missRuns := l.runCacheAccesses(rec)
 		if len(missRuns) == 0 {
 			l.Absorbed++
@@ -166,7 +160,7 @@ func (l *Live) startNext() {
 		var reqs []subRequest
 		for _, run := range missRuns {
 			for _, ar := range l.striper.Split(run.start, run.count) {
-				reqs = l.splitRun(reqs, ar)
+				reqs = splitRun(reqs, ar, l.rng, l.cfg.CoalesceProb)
 			}
 		}
 		remaining := len(reqs)
@@ -282,20 +276,4 @@ func (l *Live) onDrained() {
 	for _, d := range l.disks {
 		d.FlushHDC(done)
 	}
-}
-
-// splitRun applies coalescing to one per-disk physical run.
-func (l *Live) splitRun(reqs []subRequest, run array.Run) []subRequest {
-	start := run.PBA
-	length := 1
-	for b := 1; b < run.Blocks; b++ {
-		if dist.Bernoulli(l.rng, l.cfg.CoalesceProb) {
-			length++
-			continue
-		}
-		reqs = append(reqs, subRequest{disk: run.Disk, pba: start, blocks: length})
-		start = run.PBA + int64(b)
-		length = 1
-	}
-	return append(reqs, subRequest{disk: run.Disk, pba: start, blocks: length})
 }

@@ -117,3 +117,53 @@ func TestOlderJournalRecovers(t *testing.T) {
 		}
 	}
 }
+
+// TestForeignSpecJournalReruns boots a daemon on a journal whose
+// unfinished job was submitted with a spec field this version does not
+// know: the stream_stats switch of daemons that let a job pick its
+// latency summary. The job is kept and re-admitted, but its journaled
+// cells are discarded — the field may have shaped them — so it re-runs
+// from scratch to output byte-identical to a fresh run. The journaled
+// cell is a well-formed payload of the wrong cell, which the table
+// would show had it been trusted.
+func TestForeignSpecJournalReruns(t *testing.T) {
+	o := experiments.Quick()
+	o.Parallelism = 1
+	wrong, err := experiments.RunCell("longrun", o, experiments.CellID{Index: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := base64.StdEncoding.EncodeToString(wrong)
+	at := time.Now().UTC().Format(time.RFC3339Nano)
+	dir := t.TempDir()
+	writeRawRecords(t, dir, []string{
+		fmt.Sprintf(`{"type":"submit","job":"j000001","spec":{"experiment":"longrun","quick":true,"parallelism":1,"stream_stats":true},"submitted_at":%q}`, at),
+		fmt.Sprintf(`{"type":"start","job":"j000001","at":%q}`, at),
+		fmt.Sprintf(`{"type":"cell","job":"j000001","cell":{"index":0},"payload":%q}`, payload),
+	})
+	s, err := New(Config{QueueCap: 4, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drainNow(t, s)
+
+	table, err := experiments.Run("longrun", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := awaitJob(t, s, "j000001", time.Minute, terminal); v.State != StateDone {
+		t.Fatalf("recovered job ended %s: %s", v.State, v.Error)
+	} else if v.Result != table.String() {
+		t.Errorf("recovered table differs from a fresh run:\n--- fresh ---\n%s--- recovered ---\n%s",
+			table.String(), v.Result)
+	}
+	m := scrape(t, s)
+	for _, want := range []string{
+		`serve_jobs_recovered_total{disposition="resumed"} 1`,
+		"serve_cells_replayed_total 0",
+	} {
+		if !strings.Contains(m, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -90,6 +91,10 @@ type replayJob struct {
 	errMsg    string
 	finished  time.Time
 	cells     map[experiments.CellID][]byte
+	// foreign marks a spec carrying a field this version does not know:
+	// another version may have computed its cells differently, so they
+	// are not trusted as a checkpoint.
+	foreign bool
 }
 
 // recover opens (creating if needed) the journal under dir, replays it
@@ -123,6 +128,7 @@ func (s *Server) recover(dir string) (pending []*job, err error) {
 				submitted: rec.SubmittedAt,
 				state:     StateQueued,
 				cells:     make(map[experiments.CellID][]byte),
+				foreign:   !specFieldsKnown(p),
 			}
 			order = append(order, rec.Job)
 		case "start":
@@ -180,6 +186,11 @@ func (s *Server) recover(dir string) (pending []*job, err error) {
 			s.recoveredTerminal++
 		} else {
 			j.state = StateQueued
+			if r.foreign {
+				j.log.Warn("journaled spec has fields this version does not know; re-running the job from scratch",
+					"cells_discarded", len(r.cells))
+				r.cells = nil
+			}
 			j.checkpoint = r.cells
 			s.recoveredResumed++
 			pending = append(pending, j)
@@ -197,6 +208,22 @@ func (s *Server) recover(dir string) (pending []*job, err error) {
 			"jobs_terminal", s.recoveredTerminal, "jobs_resumed", s.recoveredResumed)
 	}
 	return pending, nil
+}
+
+// specFieldsKnown reports whether a journaled submit record's spec
+// decodes as strictly as a submission (decodeSpec): no field this
+// version does not know. Decoding into Spec silently drops such a
+// field, so without this check a job submitted with a since-removed
+// switch would resume on cells that switch shaped.
+func specFieldsKnown(rec []byte) bool {
+	var raw struct {
+		Spec json.RawMessage `json:"spec"`
+	}
+	if json.Unmarshal(rec, &raw) != nil {
+		return false
+	}
+	_, err := decodeSpec(bytes.NewReader(raw.Spec))
+	return err == nil
 }
 
 // Checkpoint is the runner's window into the journal: lookup returns a

@@ -35,7 +35,7 @@ func FuzzSubmitSpec(f *testing.F) {
 		{Experiment: "fig1", Format: "yaml"},
 		{Experiment: "fig1", TimeoutSeconds: -1},
 		tinyCellSpec("degraded", experiments.CellID{Index: 2}),
-		{Experiment: "table2", Format: "csv", Seed: 7, StreamStats: true, IdempotencyKey: "k"},
+		{Experiment: "table2", Format: "csv", Seed: 7, IdempotencyKey: "k"},
 	} {
 		body, err := json.Marshal(sp)
 		if err != nil {

@@ -41,11 +41,6 @@ type Spec struct {
 	Parallelism int `json:"parallelism,omitempty"`
 	// Seed offsets the generator seeds (Options.Seed).
 	Seed int64 `json:"seed,omitempty"`
-	// StreamStats switches the job's open-loop cells to the
-	// constant-memory streaming latency sketch
-	// (experiments.Options.StreamStats): exact count/mean/max,
-	// percentiles accurate to one sketch bucket width.
-	StreamStats bool `json:"stream_stats,omitempty"`
 	// TimeoutSeconds caps the job's run time; 0 uses the server
 	// default. The deadline is enforced through the same context path
 	// DELETE uses, so an expired job stops mid-replay.
@@ -114,7 +109,6 @@ func (sp Spec) options() experiments.Options {
 	}
 	o.Seed = sp.Seed
 	o.Parallelism = sp.Parallelism
-	o.StreamStats = sp.StreamStats
 	if sp.SynRequests > 0 {
 		o.SynRequests = sp.SynRequests
 	}

@@ -540,24 +540,21 @@ func TestResultFormats(t *testing.T) {
 	}
 }
 
-// TestStreamStatsJobRoundTrip drives the longrun experiment — open-loop
-// source workload plus streaming latency sketch — through the job API,
-// checking the stream_stats spec field reaches the options and the
-// daemon's table matches the CLI path byte for byte.
-func TestStreamStatsJobRoundTrip(t *testing.T) {
+// TestLongRunJobRoundTrip drives the longrun experiment — an open-loop
+// source workload whose latencies stream into the fixed-size sketch —
+// through the job API and checks the daemon's table matches the CLI
+// path byte for byte.
+func TestLongRunJobRoundTrip(t *testing.T) {
 	h := newHarness(t, Config{QueueCap: 4})
-	v := h.submit(Spec{Experiment: "longrun", Quick: true, Parallelism: 1, StreamStats: true})
+	v := h.submit(Spec{Experiment: "longrun", Quick: true, Parallelism: 1})
 	v = h.await(v.ID, 2*time.Minute, terminal)
 	if v.State != StateDone {
 		t.Fatalf("job ended %s: %s", v.State, v.Error)
 	}
 
-	table, err := experiments.Run("longrun", func() experiments.Options {
-		o := experiments.Quick()
-		o.Parallelism = 1
-		o.StreamStats = true
-		return o
-	}())
+	o := experiments.Quick()
+	o.Parallelism = 1
+	table, err := experiments.Run("longrun", o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,13 +2,12 @@
 // other subsystem runs on.
 //
 // The engine is deliberately small: a monotonic virtual clock measured
-// in seconds (float64) and a pending-event queue — by default a
-// two-level calendar queue (calqueue.go), with the original binary
-// heap retained as a build-time reference engine (-tags sim_refheap).
-// Events scheduled for the same instant fire in FIFO order of
-// scheduling, which makes whole simulations deterministic for a fixed
-// input — a property the test suite depends on and that both engines
-// must preserve bit for bit (see the equivalence fuzz test).
+// in seconds (float64) and a pending-event queue, a two-level calendar
+// queue (calqueue.go). Events scheduled for the same instant fire in
+// FIFO order of scheduling, which makes whole simulations deterministic
+// for a fixed input — a property the test suite depends on. The
+// equivalence fuzz and property tests hold the calendar queue to the
+// pop order of a plain binary heap kept in the tests (refheap_test.go).
 package sim
 
 import (
@@ -42,7 +41,7 @@ func (e entry) less(o entry) bool {
 type Simulator struct {
 	now     Time
 	nextID  uint64
-	q       *queue
+	q       *calQueue
 	ran     uint64
 	maxPend int
 
@@ -62,21 +61,21 @@ type Simulator struct {
 // grows the structure once instead of once per run. Safe for
 // concurrent replay cells.
 var queuePool = sync.Pool{
-	New: func() any { return newQueue() },
+	New: func() any { return newCalQueue() },
 }
 
 // New returns an empty simulator with the clock at zero. Its event
 // queue comes from a process-wide pool; call Recycle after the run
 // drains to give it back.
 func New() *Simulator {
-	return &Simulator{q: queuePool.Get().(*queue)}
+	return &Simulator{q: queuePool.Get().(*calQueue)}
 }
 
 // queue returns the event queue, attaching a pooled one on first use so
 // the zero-value Simulator keeps working.
-func (s *Simulator) queue() *queue {
+func (s *Simulator) queue() *calQueue {
 	if s.q == nil {
-		s.q = queuePool.Get().(*queue)
+		s.q = queuePool.Get().(*calQueue)
 	}
 	return s.q
 }

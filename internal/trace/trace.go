@@ -45,6 +45,21 @@ type Trace struct {
 // Len reports the record count.
 func (t *Trace) Len() int { return len(t.Records) }
 
+// Source returns a generator over the records in order — the record
+// source a replay pulls from, the same shape a generated workload
+// yields. It reports false once the records run out, and on every call
+// after that.
+func (t *Trace) Source() func() (Record, bool) {
+	i := 0
+	return func() (Record, bool) {
+		if i >= len(t.Records) {
+			return Record{}, false
+		}
+		i++
+		return t.Records[i-1], true
+	}
+}
+
 // WriteFraction reports the fraction of records that are writes.
 func (t *Trace) WriteFraction() float64 {
 	if len(t.Records) == 0 {

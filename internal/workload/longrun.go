@@ -12,8 +12,8 @@ import (
 // Unlike every other workload it never materializes a trace — records
 // are generated one at a time as they arrive — so a week-long run costs
 // the same memory as a second-long one. It exists to exercise (and
-// benchmark) the constant-memory replay path: pair it with
-// Config.ArrivalRate = RatePerSecond and Config.StreamStats.
+// benchmark) the constant-memory replay path: replay it with
+// Config.ArrivalRate = RatePerSecond.
 type LongRunConfig struct {
 	// Tenants is the number of independent tenants sharing the array;
 	// tenant popularity is Zipf(TenantSkew), so load is deliberately

@@ -1,82 +1,11 @@
 package diskthru_test
 
 import (
-	"math"
-	"reflect"
 	"strings"
 	"testing"
 
 	"diskthru"
-	"diskthru/internal/stats"
 )
-
-// TestStreamStatsMatchesExactPath runs the same open-loop replay with
-// and without StreamStats and pins the documented contract: count,
-// mean, and max are bit-identical (the sketch embeds the same exact
-// accumulator), and each percentile lands within one sketch bucket of
-// the exact path's histogram estimate plus that histogram's own bucket.
-func TestStreamStatsMatchesExactPath(t *testing.T) {
-	w, err := diskthru.SyntheticWorkload(diskthru.SyntheticOptions{
-		FileKB: 16, Requests: 3000, ZipfAlpha: 0.6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := diskthru.DefaultConfig()
-	cfg.ArrivalRate = 500
-
-	exact, err := diskthru.Run(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.StreamStats = true
-	stream, err := diskthru.Run(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if stream.Latency.N != exact.Latency.N {
-		t.Fatalf("N: stream %d, exact %d", stream.Latency.N, exact.Latency.N)
-	}
-	if stream.Latency.Mean != exact.Latency.Mean || stream.Latency.Max != exact.Latency.Max {
-		t.Fatalf("moments diverge: stream mean %v max %v, exact mean %v max %v",
-			stream.Latency.Mean, stream.Latency.Max, exact.Latency.Mean, exact.Latency.Max)
-	}
-	// The exact path buckets percentiles too (stats.Histogram, 4096 over
-	// [0, max]); the allowed gap is one bucket of each estimator.
-	var sketch stats.StreamSummary
-	histWidth := exact.Latency.Max * (1 + 1e-9) / 4096
-	for _, q := range []struct {
-		name           string
-		stream, exact2 float64
-	}{
-		{"p50", stream.Latency.P50, exact.Latency.P50},
-		{"p95", stream.Latency.P95, exact.Latency.P95},
-		{"p99", stream.Latency.P99, exact.Latency.P99},
-	} {
-		tol := sketch.BucketWidth(q.exact2) + histWidth
-		if math.Abs(q.stream-q.exact2) > tol {
-			t.Errorf("%s: stream %v vs exact %v exceeds tolerance %v",
-				q.name, q.stream, q.exact2, tol)
-		}
-	}
-
-	// Everything outside the latency summary is the same simulation:
-	// StreamStats must not perturb a single counter.
-	stream.Latency, exact.Latency = diskthru.LatencySummary{}, diskthru.LatencySummary{}
-	if len(stream.PerDisk) != len(exact.PerDisk) {
-		t.Fatalf("per-disk lengths differ")
-	}
-	for i := range stream.PerDisk {
-		if stream.PerDisk[i] != exact.PerDisk[i] {
-			t.Fatalf("disk %d counters diverge with StreamStats on", i)
-		}
-	}
-	stream.PerDisk, exact.PerDisk = nil, nil
-	if !reflect.DeepEqual(stream, exact) {
-		t.Fatalf("results diverge with StreamStats on:\nstream %+v\nexact  %+v", stream, exact)
-	}
-}
 
 // TestLongRunWorkloadGates pins the source workload's facade behavior:
 // accessors work without a materialized trace, and the replay rejects
@@ -116,7 +45,6 @@ func TestLongRunWorkloadGates(t *testing.T) {
 	}
 
 	// The stream restarts deterministically: two replays agree exactly.
-	cfg.StreamStats = true
 	a, err := diskthru.Run(w, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -133,24 +61,5 @@ func TestLongRunWorkloadGates(t *testing.T) {
 	}
 	if a.Requests == 0 || a.IOTime <= 0 {
 		t.Fatalf("degenerate longrun result: %+v", a)
-	}
-}
-
-// TestLongRunStreamStatsRequiredMemo: without StreamStats the open-loop
-// source replay still works (latencies accumulate exactly), so short
-// diagnostic runs can use the exact path.
-func TestLongRunExactPathStillWorks(t *testing.T) {
-	w, err := diskthru.LongRunWorkload(diskthru.LongRunOptions{Hours: 0.001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := diskthru.DefaultConfig()
-	cfg.ArrivalRate = 400
-	res, err := diskthru.Run(w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Latency.N != w.Records() {
-		t.Fatalf("exact path counted %d latencies, want %d", res.Latency.N, w.Records())
 	}
 }

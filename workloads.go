@@ -232,9 +232,9 @@ type LongRunOptions struct {
 // LongRunWorkload builds the constant-memory open-loop workload: a
 // multi-tenant Poisson arrival stream generated record by record, never
 // materialized, sized to run for Hours of simulated time. Replay it
-// with Config.ArrivalRate = RatePerSecond and Config.StreamStats so the
-// whole run — generation, replay, telemetry, statistics — holds memory
-// independent of the makespan.
+// with Config.ArrivalRate = RatePerSecond: the whole run — generation,
+// replay, telemetry and the streaming latency statistics every source
+// workload gets — holds memory independent of the makespan.
 func LongRunWorkload(opts LongRunOptions) (*Workload, error) {
 	cfg := workload.DefaultLongRun(opts.Hours)
 	if opts.Tenants > 0 {

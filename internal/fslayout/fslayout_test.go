@@ -2,6 +2,7 @@ package fslayout
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -321,6 +322,104 @@ func TestPropertyBitmapConsistency(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBitmapRunMatchesGet checks the word-wise Run against a per-bit
+// Get count, on bitmaps spread over several pages and ending mid-word:
+// random long and short runs, runs that stop at the last bit of each
+// word or the first bit of each page, and one long run.
+func TestBitmapRunMatchesGet(t *testing.T) {
+	const n = 3<<pageShift + 77
+	rng := rand.New(rand.NewSource(5))
+	random := NewBitmap(n)
+	for i := int64(1); i < n; {
+		ones := rng.Intn(300)
+		if rng.Intn(4) == 0 {
+			ones += 5000 // a run across a whole page
+		}
+		for ; ones > 0 && i < n; ones-- {
+			random.Set(i)
+			i++
+		}
+		i += int64(1 + rng.Intn(3))
+	}
+	walls, full := NewBitmap(n), NewBitmap(n)
+	for i := int64(1); i < n; i++ {
+		if i%64 != 63 && i%(1<<pageShift) != 0 {
+			walls.Set(i)
+		}
+		full.Set(i)
+	}
+
+	for _, bm := range []struct {
+		name string
+		b    *Bitmap
+	}{{"random", random}, {"walls", walls}, {"full", full}} {
+		name, b := bm.name, bm.b
+		perBit := func(pba int64, max int) int {
+			if max <= 0 {
+				return 0
+			}
+			k := 1
+			for k < max && b.Get(pba+int64(k)) {
+				k++
+			}
+			return k
+		}
+		cases := [][2]int64{
+			{0, 1 << 20}, {n - 1, 10}, {n - 5, 10}, {n, 10}, {n + 3, 10}, {-1, 70}, {-2, 70},
+			{62, 200}, {63, 200}, {64, 200}, {1<<pageShift - 1, 1000}, {1 << pageShift, 1000},
+		}
+		for k := 0; k < 3000; k++ {
+			cases = append(cases, [2]int64{rng.Int63n(n+4) - 2, int64(rng.Intn(600))})
+		}
+		for _, c := range cases {
+			if got, want := b.Run(c[0], int(c[1])), perBit(c[0], int(c[1])); got != want {
+				t.Fatalf("%s: Run(%d, %d) = %d, want %d", name, c[0], c[1], got, want)
+			}
+		}
+	}
+	if got := full.Run(0, 1<<30); got != n {
+		t.Fatalf("Run over a full bitmap = %d, want %d", got, n)
+	}
+}
+
+// Property: every bit of every disk matches the Owner-based definition,
+// on fragmented multi-group layouts whose data spans many bitmap pages.
+func TestPropertyBitmapEveryBit(t *testing.T) {
+	f := func(disksRaw, unitRaw, groupsRaw uint8, seed int64) bool {
+		disks := 1 + int(disksRaw)%6
+		unit := 1 + int(unitRaw)%40
+		groups := 1 + int(groupsRaw)%6
+		l := NewGrouped(1<<17, groups)
+		rng := dist.NewRand(seed)
+		for l.AllocatedBlocks() < 1<<16 {
+			if _, err := l.Alloc(1+rng.Intn(64), 0.1, rng); err != nil {
+				break
+			}
+		}
+		s := array.NewStriper(disks, unit)
+		maps := BuildBitmaps(l, s)
+		for d := 0; d < disks; d++ {
+			for p := int64(0); p < maps[d].Len(); p++ {
+				want := false
+				if p > 0 {
+					cf, co, ok1 := l.Owner(s.Logical(d, p))
+					pf, po, ok2 := l.Owner(s.Logical(d, p-1))
+					want = ok1 && ok2 && cf == pf && po == co-1
+				}
+				if maps[d].Get(p) != want {
+					t.Logf("disks=%d unit=%d groups=%d: disk %d bit %d = %v, want %v",
+						disks, unit, groups, d, p, !want, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -87,7 +87,8 @@ func TestGroupedVolumeFullWhenNoGroupFits(t *testing.T) {
 }
 
 func TestGroupedOwnersAcrossPages(t *testing.T) {
-	// Groups far apart exercise the sparse page table.
+	// Groups far apart each keep their own owner table; the blocks
+	// between them have no owner.
 	l := NewGrouped(1<<24, 8)
 	for i := 0; i < 16; i++ {
 		if _, err := l.Alloc(64, 0, nil); err != nil {
@@ -105,9 +106,9 @@ func TestGroupedOwnersAcrossPages(t *testing.T) {
 			}
 		}
 	}
-	// Blocks in untouched pages have no owner.
+	// Blocks past every group's cursor have no owner.
 	if _, _, ok := l.Owner(1<<24 - 1); ok {
-		t.Fatal("owner in untouched page")
+		t.Fatal("owner past the last group's cursor")
 	}
 }
 
@@ -200,5 +201,66 @@ func TestNewSingleGroupBackCompat(t *testing.T) {
 	b, _ := l.Alloc(3, 0, nil)
 	if l.FileBlocks(b)[0] != l.FileBlocks(a)[2]+1 {
 		t.Fatal("single-group allocation not contiguous")
+	}
+}
+
+// TestOwnerExhaustive checks Owner for every block of a fragmented
+// grouped layout against a reference built from FileBlocks: owned
+// blocks, holes, blocks past each group's cursor, and the remainder the
+// last group absorbs. The layout is checked twice, once with room left
+// in every group and once filled to the last block.
+func TestOwnerExhaustive(t *testing.T) {
+	const volume, groups = 20011, 7 // 2858 blocks per group, 5 left over
+	l := NewGrouped(volume, groups)
+	rng := dist.NewRand(11)
+	check := func(phase string) (owned, unowned int) {
+		type ref struct{ file, offset int }
+		want := make([]ref, volume)
+		for b := range want {
+			want[b] = ref{-1, -1}
+		}
+		for id := 0; id < l.NumFiles(); id++ {
+			for off, b := range l.FileBlocks(id) {
+				want[b] = ref{id, off}
+			}
+		}
+		for b := int64(-1); b <= volume; b++ {
+			f, off, ok := l.Owner(b)
+			w := ref{-1, -1}
+			if b >= 0 && b < volume {
+				w = want[b]
+			}
+			if ok != (w.file >= 0) || ok && (f != w.file || off != w.offset) {
+				t.Fatalf("%s: Owner(%d) = (%d,%d,%v), want %+v", phase, b, f, off, ok, w)
+			}
+			if ok {
+				owned++
+			} else {
+				unowned++
+			}
+		}
+		return owned, unowned
+	}
+
+	for {
+		if _, err := l.Alloc(1+rng.Intn(24), 0.2, rng); err != nil {
+			break
+		}
+	}
+	owned, unowned := check("fragmented")
+	if owned != int(l.AllocatedBlocks()) || unowned < groups {
+		t.Fatalf("fragmented: %d owned of %d allocated, %d unowned", owned, l.AllocatedBlocks(), unowned)
+	}
+
+	// Single unfragmented blocks fill every group to its end, the last
+	// group's remainder included.
+	for {
+		if _, err := l.Alloc(1, 0, nil); err != nil {
+			break
+		}
+	}
+	check("full")
+	if _, _, ok := l.Owner(volume - 1); !ok {
+		t.Fatal("the last group's remainder was never allocated")
 	}
 }

@@ -136,3 +136,68 @@ func TestRequestTimeoutValidation(t *testing.T) {
 		t.Error("mirrored watchdog config accepted")
 	}
 }
+
+// TestOpenLoopRetiresEachRecordOnce replays open loop through the two
+// fan-in paths a record's completions can take: watchdog redirects
+// after a disk death, whose extents span several spare chunks, and
+// mirrored writes. Every record must report exactly one response time
+// and retire exactly once, or the pooled arrivals would be reused while
+// still in flight.
+func TestOpenLoopRetiresEachRecordOnce(t *testing.T) {
+	const records = 300
+	replay := func(t *testing.T, r *rig, files int, cfg Config) *Host {
+		t.Helper()
+		tr := &trace.Trace{}
+		for i := 0; i < records; i++ {
+			tr.Records = append(tr.Records, trace.Record{
+				File: int32(i % files), Blocks: 24, Write: i%3 == 0,
+			})
+		}
+		var latencies int
+		cfg.OnLatency = func(l float64) {
+			if l < 0 {
+				t.Errorf("negative response time %v", l)
+			}
+			latencies++
+		}
+		h := r.host(t, cfg)
+		if end := h.Replay(tr); end <= 0 {
+			t.Fatal("zero makespan")
+		}
+		if latencies != records || h.Active() != 0 {
+			t.Fatalf("%d response times and %d active after %d records", latencies, h.Active(), records)
+		}
+		return h
+	}
+
+	t.Run("redirects", func(t *testing.T) {
+		p := &fault.Profile{Deaths: []fault.Death{{Disk: 1, At: 0.001}}}
+		r := faultRig(t, 3, 4, p) // 24-block records put 8 blocks, two units, on each disk
+		for i := 0; i < 40; i++ {
+			if _, err := r.layout.Alloc(24, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h := replay(t, r, 40, Config{
+			Streams: 1, CoalesceProb: 1, ArrivalRate: 200,
+			RequestTimeout: 0.5, DiskBlocks: geom.Ultrastar36Z15().Blocks(),
+		})
+		if h.Redirects() == 0 {
+			t.Fatal("no requests redirected")
+		}
+	})
+
+	t.Run("mirrored", func(t *testing.T) {
+		r := newRig(t, 4, 4, nil) // two logical drives, two replicas each
+		r.striper = array.NewStriper(2, 4)
+		for i := 0; i < 40; i++ {
+			if _, err := r.layout.Alloc(24, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		replay(t, r, 40, Config{Streams: 1, CoalesceProb: 1, ArrivalRate: 200, Replicas: 2})
+		if w := r.disks[0].Stats().Writes; w == 0 || w != r.disks[1].Stats().Writes {
+			t.Fatalf("replica writes %d and %d, want equal and non-zero", w, r.disks[1].Stats().Writes)
+		}
+	})
+}

@@ -158,6 +158,11 @@ type Host struct {
 	lastBuf []int
 	openBuf []subRequest
 
+	// arrivals draws the open loop's inter-arrival gaps; freeArrivals
+	// holds retired arrival records for reuse.
+	arrivals     *rand.Rand
+	freeArrivals *arrival
+
 	// lastCompletion tracks when the last host-visible operation (record
 	// or end-of-run flush) finished; this is the reported makespan.
 	// Background sync ticks may leave the simulator clock beyond it.
@@ -318,52 +323,92 @@ func (h *Host) startClosed() {
 // the source runs. Concurrency is unbounded, as in an open system; the
 // makespan is the last completion.
 func (h *Host) startOpen() {
-	arrivals := dist.NewRand(h.cfg.Seed + 0x9e3779b9)
-	var schedule func()
-	schedule = func() {
-		rec, ok := h.src.pull()
-		if !ok {
-			if h.active == 0 {
-				// Everything already retired (or the source was empty):
-				// finish now; no completion will trigger it.
-				h.onDrained()
-			}
-			return
-		}
-		h.sim.After(arrivals.ExpFloat64()/h.cfg.ArrivalRate, func(now sim.Time) {
-			h.active++
-			h.arrive(rec, now)
-			schedule()
-		})
-	}
-	schedule()
+	h.arrivals = dist.NewRand(h.cfg.Seed + 0x9e3779b9)
+	h.scheduleArrival()
 }
 
-// arrive issues one open-loop record at its arrival time. Its last
-// sub-request completion reports the response time and retires it.
-func (h *Host) arrive(rec trace.Record, arrival sim.Time) {
-	// Requests are all submitted before this returns, so the shared
-	// open-loop buffer can be reused by the next arrival.
-	reqs := h.buildRequestsInto(h.openBuf[:0], rec)
-	h.openBuf = reqs[:0]
-	if len(reqs) == 0 {
-		h.retire()
+// scheduleArrival pulls the next record and schedules its arrival, or
+// finishes the replay when the source is empty and nothing is in flight.
+func (h *Host) scheduleArrival() {
+	rec, ok := h.src.pull()
+	if !ok {
+		if h.active == 0 {
+			// Everything already retired (or the source was empty):
+			// finish now; no completion will trigger it.
+			h.onDrained()
+		}
 		return
 	}
-	remaining := len(reqs)
-	done := func(now sim.Time) {
-		remaining--
-		if remaining == 0 {
-			if h.cfg.OnLatency != nil {
-				h.cfg.OnLatency(now - arrival)
-			}
-			h.stamp(now)
-			h.retire()
+	a := h.freeArrivals
+	if a == nil {
+		a = &arrival{h: h}
+		a.fire = a.onFire
+		a.done = a.onDone
+	} else {
+		h.freeArrivals = a.nextFree
+		a.nextFree = nil
+	}
+	a.rec = rec
+	h.sim.After(h.arrivals.ExpFloat64()/h.cfg.ArrivalRate, a.fire)
+}
+
+// arrival is one open-loop record from its scheduling to its
+// retirement. Its fire and done events are bound once, and retired
+// arrivals wait on the host's free list for the next record, so the
+// open loop allocates nothing per record in steady state.
+type arrival struct {
+	h         *Host
+	rec       trace.Record
+	at        sim.Time // arrival time
+	remaining int      // outstanding sub-requests
+	fire      sim.Event
+	done      sim.Event
+	nextFree  *arrival
+}
+
+// onFire issues the record at its arrival time and chains the next
+// arrival. The last sub-request completion reports the response time
+// and retires the record.
+func (a *arrival) onFire(now sim.Time) {
+	h := a.h
+	h.active++
+	a.at = now
+	// Requests are all submitted before this returns, so the shared
+	// open-loop buffer can be reused by the next arrival.
+	reqs := h.buildRequestsInto(h.openBuf[:0], a.rec)
+	h.openBuf = reqs[:0]
+	if len(reqs) == 0 {
+		h.release(a)
+	} else {
+		a.remaining = len(reqs)
+		for _, r := range reqs {
+			h.submit(a.rec, r, a.done)
 		}
 	}
-	for _, r := range reqs {
-		h.submit(rec, r, done)
+	h.scheduleArrival()
+}
+
+// onDone counts one sub-request completion; the last one retires the
+// record.
+func (a *arrival) onDone(now sim.Time) {
+	a.remaining--
+	if a.remaining > 0 {
+		return
 	}
+	h := a.h
+	if h.cfg.OnLatency != nil {
+		h.cfg.OnLatency(now - a.at)
+	}
+	h.stamp(now)
+	h.release(a)
+}
+
+// release retires an open-loop record and returns its arrival to the
+// free list.
+func (h *Host) release(a *arrival) {
+	a.nextFree = h.freeArrivals
+	h.freeArrivals = a
+	h.retire()
 }
 
 // retire accounts one unit of in-flight work ending — a closed-loop

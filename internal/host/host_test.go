@@ -485,10 +485,10 @@ func TestArrayStatsAggregates(t *testing.T) {
 	}
 }
 
-func TestBuildBitmapsReExport(t *testing.T) {
+func TestBuildBitmapsPerDisk(t *testing.T) {
 	l := fslayout.New(100)
 	l.Alloc(4, 0, nil)
-	maps := BuildBitmaps(l, array.NewStriper(2, 2))
+	maps := fslayout.BuildBitmaps(l, array.NewStriper(2, 2))
 	if len(maps) != 2 {
 		t.Fatalf("%d bitmaps", len(maps))
 	}

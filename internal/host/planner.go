@@ -76,9 +76,3 @@ func MaxHDCBlocks(disks, cacheBlocks, minReadAheadBlocks int) int {
 	}
 	return h
 }
-
-// BuildBitmaps is a convenience re-export so callers assembling an array
-// need only import host.
-func BuildBitmaps(l *fslayout.Layout, s array.Striper) []*fslayout.Bitmap {
-	return fslayout.BuildBitmaps(l, s)
-}

@@ -5,39 +5,107 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
-// AccessCounter counts accesses per logical block.
+// AccessCounter counts accesses per logical block. It appends each
+// access to a batch and, once the batch is as long as the tally (or the
+// counter is read), sorts it and merges it into the tally in place.
+// Counting then costs a slice append instead of a map update, and
+// memory follows the distinct blocks, not the accesses.
 type AccessCounter struct {
-	counts map[int64]uint32
+	batch  []int64      // accesses not yet tallied
+	counts []BlockCount // tallied blocks, ascending
 	total  uint64
 }
 
+// minBatch is the smallest batch the counter sorts at once.
+const minBatch = 1 << 14
+
 // NewAccessCounter returns an empty counter.
-func NewAccessCounter() *AccessCounter {
-	return &AccessCounter{counts: make(map[int64]uint32)}
-}
+func NewAccessCounter() *AccessCounter { return &AccessCounter{} }
 
 // Add records n accesses to block b.
 func (c *AccessCounter) Add(b int64, n int) {
-	if n <= 0 {
-		return
+	for ; n > 0; n-- {
+		c.batch = append(c.batch, b)
+		c.total++
+		if len(c.batch) >= max(minBatch, len(c.counts)) {
+			c.tally()
+		}
 	}
-	c.counts[b] += uint32(n)
-	c.total += uint64(n)
+}
+
+// tally sorts the pending batch, merges it into the per-block counts and
+// returns them in ascending block order.
+func (c *AccessCounter) tally() []BlockCount {
+	batch := c.batch
+	if len(batch) == 0 {
+		return c.counts
+	}
+	slices.Sort(batch)
+	// Count the batch's blocks that are new to the tally, so the merge
+	// can fill the grown tally from the back without a second buffer.
+	fresh := 0
+	for i, j := 0, 0; j < len(batch); j++ {
+		if j > 0 && batch[j] == batch[j-1] {
+			continue
+		}
+		for i < len(c.counts) && c.counts[i].Block < batch[j] {
+			i++
+		}
+		if i == len(c.counts) || c.counts[i].Block != batch[j] {
+			fresh++
+		}
+	}
+	old := len(c.counts)
+	c.counts = slices.Grow(c.counts, fresh)[:old+fresh]
+	// w-i counts the new blocks still to place, so w never overtakes an
+	// unread entry.
+	w, i := len(c.counts)-1, old-1
+	for j := len(batch) - 1; j >= 0; {
+		b, k := batch[j], j
+		for k > 0 && batch[k-1] == b {
+			k--
+		}
+		n := j - k + 1
+		for i >= 0 && c.counts[i].Block > b {
+			c.counts[w] = c.counts[i]
+			w--
+			i--
+		}
+		if i >= 0 && c.counts[i].Block == b {
+			n += c.counts[i].Count
+			i--
+		}
+		c.counts[w] = BlockCount{Block: b, Count: n}
+		w--
+		j = k - 1
+	}
+	c.batch = batch[:0]
+	return c.counts
 }
 
 // Total reports the number of recorded accesses.
 func (c *AccessCounter) Total() uint64 { return c.total }
 
 // Distinct reports how many distinct blocks were accessed.
-func (c *AccessCounter) Distinct() int { return len(c.counts) }
+func (c *AccessCounter) Distinct() int { return len(c.tally()) }
 
 // Count reports the accesses to one block.
-func (c *AccessCounter) Count(b int64) int { return int(c.counts[b]) }
+func (c *AccessCounter) Count(b int64) int {
+	counts := c.tally()
+	i, ok := slices.BinarySearchFunc(counts, b, func(bc BlockCount, b int64) int {
+		return cmp.Compare(bc.Block, b)
+	})
+	if !ok {
+		return 0
+	}
+	return counts[i].Count
+}
 
 // BlockCount pairs a block with its access count.
 type BlockCount struct {
@@ -47,17 +115,26 @@ type BlockCount struct {
 
 // Ranked returns all blocks sorted by count descending, block ascending —
 // the deterministic order the HDC planner pins in and Figure 2 plots.
+// It is a counting sort on the count: tally lists the blocks in
+// ascending order, and the sort keeps that order within each count.
 func (c *AccessCounter) Ranked() []BlockCount {
-	out := make([]BlockCount, 0, len(c.counts))
-	for b, n := range c.counts {
-		out = append(out, BlockCount{Block: b, Count: int(n)})
+	counts := c.tally()
+	top := 0
+	for _, bc := range counts {
+		top = max(top, bc.Count)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Block < out[j].Block
-	})
+	next := make([]int, top+1) // count -> its next slot in out
+	for _, bc := range counts {
+		next[bc.Count]++
+	}
+	for n, slot := top, 0; n > 0; n-- {
+		next[n], slot = slot, slot+next[n]
+	}
+	out := make([]BlockCount, len(counts))
+	for _, bc := range counts {
+		out[next[bc.Count]] = bc
+		next[bc.Count]++
+	}
 	return out
 }
 

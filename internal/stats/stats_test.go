@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -49,6 +51,49 @@ func TestTopN(t *testing.T) {
 	}
 	if got := c.TopN(100); len(got) != 10 {
 		t.Fatalf("TopN over-asks = %d entries", len(got))
+	}
+}
+
+// TestAccessCounterMatchesMap checks the batched counter against a map
+// over enough accesses for many sorted batches, with reads (which tally
+// a partial batch) interleaved with the adds.
+func TestAccessCounterMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	c := NewAccessCounter()
+	ref := map[int64]int{}
+	for i := 0; i < 20*minBatch; i++ {
+		b := int64(rng.ExpFloat64()*3000) - 50 // skewed, a few negative
+		n := 1 + rng.Intn(3)
+		c.Add(b, n)
+		ref[b] += n
+		if rng.Intn(5000) == 0 {
+			probe := int64(rng.Intn(4000) - 100)
+			if c.Count(probe) != ref[probe] || c.Distinct() != len(ref) {
+				t.Fatalf("after %d adds: Count(%d) = %d, Distinct = %d; want %d, %d",
+					i+1, probe, c.Count(probe), c.Distinct(), ref[probe], len(ref))
+			}
+		}
+	}
+	want := make([]BlockCount, 0, len(ref))
+	var total uint64
+	for b, n := range ref {
+		want = append(want, BlockCount{Block: b, Count: n})
+		total += uint64(n)
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].Count != want[j].Count {
+			return want[i].Count > want[j].Count
+		}
+		return want[i].Block < want[j].Block
+	})
+	got := c.Ranked()
+	if c.Total() != total || len(got) != len(want) {
+		t.Fatalf("total %d, %d blocks; want %d, %d", c.Total(), len(got), total, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Ranked[%d] = %v, want %v", i, got[i], want[i])
+		}
 	}
 }
 

@@ -28,13 +28,15 @@ var driverAllocs = []struct {
 	{"fig7", 106428},
 	{"longrun", 3009},
 	{"fig6", 54928},
+	{"ext-victim", 29937},
 }
 
 // TestDriverAllocBudget fails when a driver allocates more than
 // allocSlack times its recorded budget: the Table 2 pipeline, the Web
-// striping sweep, the open-loop long-run source, and the synthetic
-// write sweep, whose cost is mostly set-up (layouts, FOR bitmaps and
-// HDC rankings).
+// striping sweep, the open-loop long-run source, the synthetic write
+// sweep, whose cost is mostly set-up (layouts, FOR bitmaps and HDC
+// rankings), and the victim-cache sweep, which replays the server
+// trace through the host buffer cache stage.
 func TestDriverAllocBudget(t *testing.T) {
 	for _, d := range driverAllocs {
 		t.Run(d.name, func(t *testing.T) {

@@ -195,14 +195,17 @@ type rig struct {
 	logical  int
 }
 
-// recycle hands the rig's pooled storage — the simulator's event queue
-// and every drive's cache-index tables — to the next replay cell. Legal
-// only after the replay has drained; the rig must not be used after.
-func (r *rig) recycle() {
+// recycle hands the pooled storage of the rig and of the host that
+// replayed on it — the simulator's event queue, every drive's
+// cache-index tables and the host buffer cache — to the next replay
+// cell. Legal only after the replay has drained; neither may be used
+// after.
+func (r *rig) recycle(h *host.Host) {
 	r.sim.Recycle()
 	for _, d := range r.disks {
 		d.Release()
 	}
+	h.Release()
 }
 
 // diskProbes adapts the drives to the sampler's interface.
@@ -317,34 +320,55 @@ func Run(w *Workload, cfg Config) (Result, error) {
 // RunContext is Run with cooperative cancellation: the replay polls
 // ctx every few thousand simulation events (see sim.SetCancel) and
 // returns ctx's error once it fires, abandoning the unfired events. A
-// cancelled run reports no telemetry and no Result. A nil or
-// background context reproduces Run exactly — including its results,
-// byte for byte.
+// cancelled run returns no Result and never finishes its telemetry
+// scope: the batches it already spilled stay in the sinks, the retained
+// tail is dropped. A nil or background context reproduces Run exactly —
+// including its results, byte for byte.
 func RunContext(ctx context.Context, w *Workload, cfg Config) (Result, error) {
+	res, err := replay(ctx, w, cfg, nil)
+	return res.Result, err
+}
+
+// replay is the one body of RunContext and RunLiveContext: validate,
+// assemble the rig, pin the HDC plan, replay the records through one
+// host.Host and collect the result. live, when non-nil, replays the
+// server-level trace through the host buffer cache stage instead of the
+// disk-level trace.
+func replay(ctx context.Context, w *Workload, cfg Config, live *LiveOptions) (LiveResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if err := cfg.Validate(); err != nil {
-		return Result{}, err
+		return LiveResult{}, err
 	}
 	if err := ctx.Err(); err != nil {
-		return Result{}, err
+		return LiveResult{}, err
 	}
 	inner := w.inner
+	name := fmt.Sprintf("%s-%s", w.Name(), cfg.System)
+	records := inner.Trace
+	if live != nil {
+		if inner.Server == nil {
+			return LiveResult{}, fmt.Errorf("diskthru: workload %q carries no server-level trace", w.Name())
+		}
+		name, records = "live-"+name, inner.Server
+	}
 	source := inner.NewSource != nil
 	if source && cfg.ArrivalRate <= 0 {
-		return Result{}, fmt.Errorf("diskthru: %s is an open-loop source workload; set Config.ArrivalRate", w.Name())
+		return LiveResult{}, fmt.Errorf("diskthru: %s is an open-loop source workload; set Config.ArrivalRate", w.Name())
 	}
 	if source && cfg.HDCKB > 0 {
-		return Result{}, fmt.Errorf("diskthru: host-guided caching plans over a materialized trace; %s generates records on the fly", w.Name())
+		return LiveResult{}, fmt.Errorf("diskthru: host-guided caching plans over a materialized trace; %s generates records on the fly", w.Name())
 	}
-	scope := cfg.telemetry().StartRun(fmt.Sprintf("%s-%s", w.Name(), cfg.System))
+	scope := cfg.telemetry().StartRun(name)
 	r, err := buildRig(w, cfg, scope.Tracer())
 	if err != nil {
-		return Result{}, err
+		return LiveResult{}, err
 	}
 
-	if cfg.HDCKB > 0 {
+	// The victim policy manages the HDC regions itself; every other run
+	// pins the static plan.
+	if cfg.HDCKB > 0 && (live == nil || !live.VictimHDC) {
 		plan := w.hdcPlan(cfg, r.striper, cfg.HDCKB<<10/r.geom.BlockSize)
 		if cfg.CoopHDC {
 			// Cooperative: the plan holds twice the per-controller
@@ -386,6 +410,10 @@ func RunContext(ctx context.Context, w *Workload, cfg Config) (Result, error) {
 		RequestTimeout: cfg.RequestTimeoutSeconds,
 		DiskBlocks:     r.geom.Blocks(),
 	}
+	if live != nil {
+		hostCfg.BufferCacheBlocks = live.cacheBlocks()
+		hostCfg.Victim = live.VictimHDC
+	}
 	// The workload's kind picks the latency summary. A source workload
 	// is unbounded, so its response times fold into a fixed-size sketch
 	// as they complete. A materialized trace already holds O(records),
@@ -398,19 +426,23 @@ func RunContext(ctx context.Context, w *Workload, cfg Config) (Result, error) {
 		sketch = &stats.StreamSummary{}
 		hostCfg.OnLatency = sketch.Observe
 	} else if cfg.ArrivalRate > 0 {
-		latencies = make([]float64, 0, inner.Trace.Len())
+		latencies = make([]float64, 0, records.Len())
 		hostCfg.OnLatency = func(v float64) { latencies = append(latencies, v) }
 	}
-	h, err := host.New(r.sim, r.disks, r.striper, inner.Layout, hostCfg)
+	h, err := host.New(r.sim, r.bus, r.disks, r.striper, inner.Layout, hostCfg)
 	if err != nil {
-		return Result{}, err
+		return LiveResult{}, err
 	}
-	scope.StartSampler(r.sim, r.diskProbes(), probe.SamplerSources{
+	sources := probe.SamplerSources{
 		BusUtil:      r.bus.Utilization,
 		Issued:       h.Issued,
 		Active:       h.Active,
 		DiskTimeouts: h.TimeoutCount,
-	})
+	}
+	if c := h.BufferCache(); c != nil {
+		sources.HostCache = c.Counters
+	}
+	scope.StartSampler(r.sim, r.diskProbes(), sources)
 
 	if done := ctx.Done(); done != nil {
 		r.sim.SetCancel(done)
@@ -419,16 +451,16 @@ func RunContext(ctx context.Context, w *Workload, cfg Config) (Result, error) {
 	if source {
 		h.Start(inner.NewSource())
 	} else {
-		h.Start(inner.Trace.Source())
+		h.Start(records.Source())
 	}
 	r.sim.Run()
 	if r.sim.Cancelled() {
-		// Partial counters and partial telemetry would misrepresent the
-		// workload; drop both.
-		return Result{}, fmt.Errorf("diskthru: %s/%s replay cancelled: %w", w.Name(), cfg.System, ctx.Err())
+		// Partial counters would misrepresent the workload; drop them
+		// and the telemetry not yet spilled.
+		return LiveResult{}, fmt.Errorf("diskthru: %s/%s replay cancelled: %w", w.Name(), cfg.System, ctx.Err())
 	}
 	end := h.Makespan()
-	res := collectResult(end, r, h.IssuedRequests)
+	res := LiveResult{Result: collectResult(end, r, h.IssuedRequests)}
 	if sketch != nil {
 		res.Latency = summarizeStream(sketch)
 	} else {
@@ -439,18 +471,26 @@ func RunContext(ctx context.Context, w *Workload, cfg Config) (Result, error) {
 		res.Timeouts += n
 		res.PerDisk[i].Timeouts = n
 	}
+	if c := h.BufferCache(); c != nil {
+		res.ServerAccesses = uint64(records.Len())
+		res.Absorbed = h.Absorbed
+		res.VictimInserts = h.VictimInserts
+		if total := c.Hits() + c.Misses(); total > 0 {
+			res.BufferCacheHitRate = float64(c.Hits()) / float64(total)
+		}
+	}
 	if err := scope.Finish(); err != nil {
 		return res, fmt.Errorf("diskthru: telemetry: %w", err)
 	}
-	r.recycle() // hand the drained queue and index storage to the next replay
+	r.recycle(h) // hand the drained queue, index and cache storage to the next replay
 	return res, nil
 }
 
-// watchProgress subscribes a progress tracker to one replay engine, for
-// both Run and RunLive. A nil tracker leaves the simulator's hot loop
-// uninstrumented; otherwise the closure and its captured counters are
-// the only allocations — one-time, per cell, outside the event loop —
-// and the callback itself is allocation-free.
+// watchProgress subscribes a progress tracker to one replay. A nil
+// tracker leaves the simulator's hot loop uninstrumented; otherwise the
+// closure and its captured counters are the only allocations —
+// one-time, per cell, outside the event loop — and the callback itself
+// is allocation-free.
 func watchProgress(s *sim.Simulator, p *probe.Progress) {
 	if p == nil {
 		return

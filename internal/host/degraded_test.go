@@ -21,6 +21,7 @@ func faultRig(t *testing.T, nDisks, unitBlocks int, p *fault.Profile) *rig {
 	b := bus.New(s, bus.Ultra160())
 	r := &rig{
 		sim:     s,
+		bus:     b,
 		striper: array.NewStriper(nDisks, unitBlocks),
 		layout:  fslayout.New(1 << 20),
 		disks:   make([]*disk.Disk, nDisks),
@@ -123,14 +124,14 @@ func TestRequestTimeoutValidation(t *testing.T) {
 		{Streams: 1, RequestTimeout: -1},
 		{Streams: 1, RequestTimeout: 0.5}, // missing DiskBlocks
 	} {
-		if _, err := New(r.sim, r.disks, r.striper, r.layout, cfg); err == nil {
+		if _, err := New(r.sim, r.bus, r.disks, r.striper, r.layout, cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
 	}
 	// Mirrored arrays are out of scope for the watchdog.
 	r2 := newRig(t, 2, 32, nil)
 	r2.striper.Disks = 1
-	if _, err := New(r2.sim, r2.disks, r2.striper, r2.layout, Config{
+	if _, err := New(r2.sim, r2.bus, r2.disks, r2.striper, r2.layout, Config{
 		Streams: 1, Replicas: 2, RequestTimeout: 0.5, DiskBlocks: 1 << 20,
 	}); err == nil {
 		t.Error("mirrored watchdog config accepted")

@@ -3,7 +3,9 @@
 // possible (the paper's throughput methodology), the OS/driver request
 // pipeline that splits file accesses into per-disk requests with
 // probabilistic coalescing, and the HDC planning logic that decides which
-// blocks each controller pins.
+// blocks each controller pins. An optional host buffer cache stage sits
+// between the record source and the request pipeline, so server-level
+// traces can be replayed with the cache in the loop.
 package host
 
 import (
@@ -11,6 +13,8 @@ import (
 	"math/rand"
 
 	"diskthru/internal/array"
+	"diskthru/internal/bufcache"
+	"diskthru/internal/bus"
 	"diskthru/internal/disk"
 	"diskthru/internal/dist"
 	"diskthru/internal/fslayout"
@@ -93,6 +97,18 @@ type Config struct {
 	// the spare regions the redirector maps into. Required when
 	// RequestTimeout is set.
 	DiskBlocks int64
+	// BufferCacheBlocks, when positive, runs each record through a host
+	// buffer cache of this many blocks before it reaches the array:
+	// only read misses become requests, dirty evictions write back in
+	// the background, and the dirty blocks left at the end are written
+	// before the end-of-run flush. Zero (the default) means no stage.
+	// Requires an unmirrored array.
+	BufferCacheBlocks int
+	// Victim manages each controller's HDC region as a FIFO victim
+	// cache: blocks evicted clean from the buffer cache are shipped to
+	// their disk's controller and pinned, so re-reads hit there instead
+	// of the platters (section 5). Requires BufferCacheBlocks.
+	Victim bool
 }
 
 // replicas normalizes the mirroring degree.
@@ -127,6 +143,15 @@ func (c Config) Validate() error {
 		if c.DiskBlocks <= 0 {
 			return fmt.Errorf("host: request timeout requires the per-disk capacity (DiskBlocks)")
 		}
+	}
+	if c.BufferCacheBlocks < 0 {
+		return fmt.Errorf("host: buffer cache of %d blocks", c.BufferCacheBlocks)
+	}
+	if c.Victim && c.BufferCacheBlocks == 0 {
+		return fmt.Errorf("host: a victim cache requires a buffer cache")
+	}
+	if c.BufferCacheBlocks > 0 && c.replicas() > 1 {
+		return fmt.Errorf("host: the buffer cache supports only unmirrored arrays")
 	}
 	return nil
 }
@@ -183,6 +208,20 @@ type Host struct {
 	// counts those retired unserved because no disk was left.
 	redirects uint64
 	aborted   uint64
+
+	// Buffer-cache stage, set only when BufferCacheBlocks > 0: buf is
+	// the host buffer cache, missBuf gathers one record's read misses,
+	// and victims orders each disk's pinned victim blocks for
+	// replacement. bus carries the victim pins to the controllers.
+	buf     *bufcache.Cache
+	missBuf []int64
+	victims [][]int64
+	bus     *bus.Bus
+
+	// Absorbed counts records the buffer cache served without a disk
+	// read; VictimInserts counts blocks pinned in victim regions.
+	Absorbed      uint64
+	VictimInserts uint64
 }
 
 // Timeouts returns the per-disk watchdog firing counts (nil when the
@@ -214,9 +253,9 @@ func (h *Host) Active() int { return h.active }
 // callback.
 func (h *Host) Issued() uint64 { return h.IssuedRequests }
 
-// New binds a host to its array. The striper must match the one the
-// disks' FOR bitmaps were built with.
-func New(s *sim.Simulator, disks []*disk.Disk, striper array.Striper, layout *fslayout.Layout, cfg Config) (*Host, error) {
+// New binds a host to its array and the bus its disks share. The striper
+// must match the one the disks' FOR bitmaps were built with.
+func New(s *sim.Simulator, b *bus.Bus, disks []*disk.Disk, striper array.Striper, layout *fslayout.Layout, cfg Config) (*Host, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -227,6 +266,7 @@ func New(s *sim.Simulator, disks []*disk.Disk, striper array.Striper, layout *fs
 	h := &Host{
 		cfg:     cfg,
 		sim:     s,
+		bus:     b,
 		disks:   disks,
 		striper: striper,
 		layout:  layout,
@@ -236,6 +276,10 @@ func New(s *sim.Simulator, disks []*disk.Disk, striper array.Striper, layout *fs
 		h.down = make([]bool, len(disks))
 		h.timeouts = make([]uint64, len(disks))
 		h.spares = make([]*fslayout.SpareLayout, len(disks))
+	}
+	if cfg.BufferCacheBlocks > 0 {
+		h.buf = bufcache.New(cfg.BufferCacheBlocks)
+		h.victims = make([][]int64, len(disks))
 	}
 	return h, nil
 }
@@ -440,14 +484,19 @@ func (h *Host) scheduleSync() {
 }
 
 // onDrained runs when the last stream retires: it stamps the makespan
-// and issues the end-of-run flush, whose completions extend it.
+// and issues the end-of-run flush — the buffer cache's dirty blocks,
+// then flush_hdc — whose completions extend it.
 func (h *Host) onDrained() {
 	h.stamp(h.sim.Now())
+	done := func(now sim.Time) { h.stamp(now) }
+	if h.buf != nil {
+		h.flushDirty(done)
+	}
 	if !h.cfg.FlushHDCAtEnd {
 		return
 	}
 	for _, d := range h.disks {
-		d.FlushHDC(func(now sim.Time) { h.stamp(now) })
+		d.FlushHDC(done)
 	}
 }
 
@@ -657,21 +706,19 @@ type subRequest struct {
 }
 
 // buildRequestsInto turns one trace record into per-disk requests,
-// appending to dst: file blocks -> logical runs (fragmentation) ->
-// per-disk physical runs (striping) -> issued requests (probabilistic
-// coalescing). The striping scratch buffers live on the Host — the
-// simulation is single-threaded, so one set serves every caller.
+// appending to dst: file blocks -> buffer cache read misses (when the
+// stage is on) -> logical runs (fragmentation) -> per-disk physical runs
+// (striping) -> issued requests (probabilistic coalescing). The scratch
+// buffers live on the Host — the simulation is single-threaded, so one
+// set serves every caller.
 func (h *Host) buildRequestsInto(dst []subRequest, rec trace.Record) []subRequest {
 	blocks := h.layout.FileBlocks(int(rec.File))
-	lo := int(rec.Offset)
-	hi := lo + int(rec.Blocks)
-	if lo >= len(blocks) {
-		return dst
-	}
-	if hi > len(blocks) {
-		hi = len(blocks)
-	}
+	lo := min(int(rec.Offset), len(blocks))
+	hi := min(int(rec.Offset)+int(rec.Blocks), len(blocks))
 	window := blocks[lo:hi]
+	if h.buf != nil {
+		window = h.throughCache(window, rec.Write)
+	}
 
 	if h.lastBuf == nil {
 		h.lastBuf = make([]int, h.striper.Disks)

@@ -17,6 +17,7 @@ import (
 // rig bundles a small array for tests.
 type rig struct {
 	sim     *sim.Simulator
+	bus     *bus.Bus
 	disks   []*disk.Disk
 	striper array.Striper
 	layout  *fslayout.Layout
@@ -48,12 +49,12 @@ func newRig(t *testing.T, nDisks, unitBlocks int, mutate func(*disk.Config)) *ri
 		}
 		disks[i] = d
 	}
-	return &rig{sim: s, disks: disks, striper: striper, layout: layout}
+	return &rig{sim: s, bus: b, disks: disks, striper: striper, layout: layout}
 }
 
 func (r *rig) host(t *testing.T, cfg Config) *Host {
 	t.Helper()
-	h, err := New(r.sim, r.disks, r.striper, r.layout, cfg)
+	h, err := New(r.sim, r.bus, r.disks, r.striper, r.layout, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,12 +233,12 @@ func TestConfigValidation(t *testing.T) {
 		{Streams: 4, CoalesceProb: -0.1},
 		{Streams: 4, CoalesceProb: 1.1},
 	} {
-		if _, err := New(r.sim, r.disks, r.striper, r.layout, cfg); err == nil {
+		if _, err := New(r.sim, r.bus, r.disks, r.striper, r.layout, cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
 	}
 	// Mismatched striper.
-	if _, err := New(r.sim, r.disks, array.NewStriper(3, 32), r.layout, Config{Streams: 1}); err == nil {
+	if _, err := New(r.sim, r.bus, r.disks, array.NewStriper(3, 32), r.layout, Config{Streams: 1}); err == nil {
 		t.Error("mismatched striper accepted")
 	}
 }
@@ -368,7 +369,7 @@ func TestMirroredHostReadsBalanceAndWritesDuplicate(t *testing.T) {
 		}
 		disks[i] = d
 	}
-	h, err := New(s, disks, striper, layout, Config{
+	h, err := New(s, b, disks, striper, layout, Config{
 		Streams: 4, CoalesceProb: 1, Replicas: 2,
 	})
 	if err != nil {
@@ -415,7 +416,7 @@ func TestMirroredReadPrefersPinnedReplica(t *testing.T) {
 	}
 	// Pin the file's blocks only on replica 1.
 	disks[1].PinBlocks([]int64{0, 1, 2, 3})
-	h, err := New(s, disks, striper, layout, Config{Streams: 1, CoalesceProb: 1, Replicas: 2})
+	h, err := New(s, b, disks, striper, layout, Config{Streams: 1, CoalesceProb: 1, Replicas: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

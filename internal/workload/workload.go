@@ -37,9 +37,10 @@ type Workload struct {
 	Layout *fslayout.Layout
 	Trace  *trace.Trace
 	// Server is the server-level access stream the disk-level Trace was
-	// filtered from; the live-replay mode (host.Live) consumes it so the
-	// buffer cache can be simulated in the loop. For the synthetic
-	// workload (no buffer cache) it equals Trace.
+	// filtered from; the live-replay mode (diskthru.RunLive, through
+	// host.Host's buffer-cache stage) consumes it so the buffer cache
+	// can be simulated in the loop. For the synthetic workload (no
+	// buffer cache) it equals Trace.
 	Server *trace.Trace
 
 	// NewSource, when non-nil, marks a generated workload: records are

@@ -26,7 +26,7 @@ func TestStreamSummaryMatchesExactSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	var latencies []float64
-	h, err := host.New(r.sim, r.disks, r.striper, w.inner.Layout, host.Config{
+	h, err := host.New(r.sim, r.bus, r.disks, r.striper, w.inner.Layout, host.Config{
 		Streams:      1,
 		CoalesceProb: cfg.CoalesceProb,
 		Seed:         cfg.Seed,

@@ -41,12 +41,13 @@ allocs:
 # journals (decoding must never panic and must refuse a payload tagged
 # for another slot type), and the journal records a restarting daemon
 # replays (no record may panic it: each journal is refused with an error
-# or replayed, every job once) — plus two equivalence
+# or replayed, every job once) — plus three equivalence
 # properties: the calendar queue must pop in exactly the reference
-# heap's (time, seq) order on adversarial schedules, and the
-# run-granular controller caches must answer every query exactly as
-# their block-at-a-time references do. Go runs one fuzz target per
-# invocation.
+# heap's (time, seq) order on adversarial schedules, the run-granular
+# controller caches must answer every query exactly as their
+# block-at-a-time references do, and the host buffer cache must match a
+# map-plus-list LRU in every miss, eviction, counter and FlushDirty
+# order. Go runs one fuzz target per invocation.
 fuzz:
 	$(GO) test ./internal/trace -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzParseProfile$$' -fuzztime 10s
@@ -55,6 +56,7 @@ fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzCalendarQueueEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzDecodeSlot$$' -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheEquivalence$$' -fuzztime 10s
+	$(GO) test ./internal/bufcache -run '^$$' -fuzz '^FuzzBufcacheEquivalence$$' -fuzztime 10s
 
 # The flat-heap gate for long-horizon runs: BenchmarkLongRun replays the
 # longrun source workload at 1x and 10x the simulated makespan and fails

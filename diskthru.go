@@ -320,10 +320,11 @@ func Run(w *Workload, cfg Config) (Result, error) {
 // RunContext is Run with cooperative cancellation: the replay polls
 // ctx every few thousand simulation events (see sim.SetCancel) and
 // returns ctx's error once it fires, abandoning the unfired events. A
-// cancelled run returns no Result and never finishes its telemetry
-// scope: the batches it already spilled stay in the sinks, the retained
-// tail is dropped. A nil or background context reproduces Run exactly —
-// including its results, byte for byte.
+// cancelled run returns no Result and aborts its telemetry scope: the
+// batches it already spilled stay in the sinks, each sink that holds
+// any ends the run with one "cancelled" record (probe.RunScope.Abort),
+// and the retained tail is dropped. A nil or background context
+// reproduces Run exactly — including its results, byte for byte.
 func RunContext(ctx context.Context, w *Workload, cfg Config) (Result, error) {
 	res, err := replay(ctx, w, cfg, nil)
 	return res.Result, err
@@ -456,7 +457,8 @@ func replay(ctx context.Context, w *Workload, cfg Config, live *LiveOptions) (Li
 	r.sim.Run()
 	if r.sim.Cancelled() {
 		// Partial counters would misrepresent the workload; drop them
-		// and the telemetry not yet spilled.
+		// and the telemetry not yet spilled, and mark what was.
+		scope.Abort()
 		return LiveResult{}, fmt.Errorf("diskthru: %s/%s replay cancelled: %w", w.Name(), cfg.System, ctx.Err())
 	}
 	end := h.Makespan()

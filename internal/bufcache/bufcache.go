@@ -4,17 +4,18 @@
 // server-level file accesses stream through this LRU cache and only the
 // misses (and merged writes) become disk-level trace records.
 //
-// The residency index is an open-addressed int64 table (internal/intmap)
-// and the LRU nodes live in a flat index-linked slab, so the filtering
-// stage — one probe per server-level block — does no map hashing and no
-// per-node allocation. Storage is pooled across runs via Release.
+// The residency index is a cache.Table, direct-addressed and
+// page-sparse over logical blocks, and the LRU nodes live in a flat
+// index-linked slab, so the filtering stage — one probe per
+// server-level block — does no hashing and no per-node allocation.
+// Storage is pooled across runs via Release.
 package bufcache
 
 import (
 	"fmt"
 	"sync"
 
-	"diskthru/internal/intmap"
+	"diskthru/internal/cache"
 )
 
 // nilNode terminates the recency and free lists.
@@ -26,9 +27,7 @@ type node struct {
 	prev, next int32
 }
 
-// indexPool and slabPool recycle cache storage across runs.
-var indexPool intmap.Pool[int32]
-
+// slabPool recycles node slabs across runs.
 var slabPool = sync.Pool{
 	New: func() any {
 		s := make([]node, 0, 1024)
@@ -41,7 +40,7 @@ var slabPool = sync.Pool{
 // block dirty, and evictions of dirty blocks surface as disk writes.
 type Cache struct {
 	capacity int
-	index    *intmap.Map[int32]
+	index    *cache.Table // block -> node slab index
 	nodes    []node
 	slab     *[]node // pooled backing-array handle
 	free     int32   // free-list head
@@ -60,7 +59,7 @@ func New(capacity int) *Cache {
 	slab := slabPool.Get().(*[]node)
 	return &Cache{
 		capacity: capacity,
-		index:    indexPool.Get(capacity),
+		index:    cache.NewTable(),
 		nodes:    (*slab)[:0],
 		slab:     slab,
 		free:     nilNode,
@@ -72,7 +71,7 @@ func New(capacity int) *Cache {
 // Release returns the cache's index table and node slab to their pools
 // for the next run. The cache must not be used afterwards.
 func (c *Cache) Release() {
-	indexPool.Put(c.index)
+	c.index.Release()
 	c.index = nil
 	*c.slab = c.nodes[:0]
 	slabPool.Put(c.slab)

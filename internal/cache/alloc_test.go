@@ -63,3 +63,65 @@ func TestHDCRangeQueriesAllocFree(t *testing.T) {
 		t.Errorf("HDC FirstPinned/AllPinned/MarkDirty allocate %.1f times per probe; want 0", avg)
 	}
 }
+
+func TestRunQueriesAllocFree(t *testing.T) {
+	seg := NewSegmentStore(27, 32)
+	blk := NewBlockStore(1024, EvictLRU)
+	for c := int64(0); c < 27; c++ {
+		seg.Insert(c*guardSpacing, 32)
+		blk.Insert(c*guardSpacing, 32)
+	}
+	probe := func() {
+		for c := int64(0); c < 27; c++ {
+			b := c*guardSpacing + 8
+			seg.ResidentPrefix(b, 40)
+			blk.ResidentPrefix(b, 40)
+			seg.TouchRange(b, 40)
+			blk.TouchRange(b, 40)
+		}
+	}
+	if avg := testing.AllocsPerRun(20, probe); avg > 0 {
+		t.Errorf("ResidentPrefix/TouchRange allocate %.1f times per probe; want 0", avg)
+	}
+}
+
+// TestCrossRegionChurnAllocFree moves a block pool and a pinned set
+// across the guard clusters, emptying and refilling leaves, pages and
+// regions: once warm, the free lists serve every node.
+func TestCrossRegionChurnAllocFree(t *testing.T) {
+	s := NewBlockStore(1024, EvictMRU)
+	h := NewHDCRegion(512)
+	round := int64(1)
+	churn := func() {
+		for c := int64(0); c < guardClusters; c++ {
+			base := c * guardSpacing
+			s.Insert(base+round%8*300, 32)
+			h.Unpin(base + (round-1)%600)
+			h.Pin(base + round%600)
+		}
+		round++
+	}
+	for i := 0; i < 8; i++ {
+		churn()
+	}
+	if avg := testing.AllocsPerRun(20, churn); avg > 0 {
+		t.Errorf("cross-region churn allocates %.1f times per round; want 0", avg)
+	}
+}
+
+func TestDisabledHDCAllocatesNothing(t *testing.T) {
+	h := NewHDCRegion(0)
+	probe := func() {
+		for b := int64(0); b < 1<<20; b += 4099 {
+			h.Pin(b)
+			h.FirstPinned(b, 32)
+			h.AllPinned(b, 4)
+			h.MarkDirty(b)
+			h.Unpin(b)
+			h.Flush()
+		}
+	}
+	if avg := testing.AllocsPerRun(5, probe); avg > 0 || h.dir != nil {
+		t.Errorf("a 0-block HDC region allocates %.1f times per probe (directory %d entries); want 0", avg, len(h.dir))
+	}
+}

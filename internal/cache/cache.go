@@ -14,20 +14,22 @@
 // hold data; the simulator only tracks residency.
 //
 // Residency is kept at the granularity each organization naturally
-// has. A SegmentStore holds a few dozen contiguous runs, so it keeps
-// them in one sorted run table: inserting a segment costs O(runs), not
-// a hash operation per block. An HDCRegion is a sorted block slice, so
-// the disk asks it range questions (FirstPinned, AllPinned) instead of
-// probing block by block. Only the BlockStore, whose residents really
-// are scattered single blocks, indexes them in an open-addressed int64
-// table (internal/intmap), pooled across replay cells via Release.
+// has, and every organization answers run questions, because every
+// request is a run. A SegmentStore holds a few dozen contiguous runs in
+// one sorted run table: inserting a segment costs O(runs), and
+// ResidentPrefix and TouchRange are one binary search each. A
+// BlockStore's residents are scattered clusters of a few blocks, so it
+// indexes them in a Table: direct-addressed and page-sparse (a
+// directory over 4096-block regions, 256-block pages of presence bits,
+// 16-block leaves of node slots), with no hashing, memory that follows
+// the clusters, and storage pooled across replay cells via Release. An
+// HDCRegion keeps its pinned and dirty sets as page-sparse bitsets in
+// the same shape, so FirstPinned and AllPinned are word scans.
 package cache
 
 import (
 	"slices"
 	"sync"
-
-	"diskthru/internal/intmap"
 )
 
 // Store is the read-ahead (replaceable) portion of a controller cache.
@@ -36,6 +38,12 @@ type Store interface {
 	Contains(lba int64) bool
 	// Touch records a hit on a resident block, updating recency.
 	Touch(lba int64)
+	// ResidentPrefix reports how many leading blocks of [lba, lba+n)
+	// are resident.
+	ResidentPrefix(lba int64, n int) int
+	// TouchRange touches every resident block of [lba, lba+n) in
+	// ascending order, exactly as n calls of Touch would.
+	TouchRange(lba int64, n int)
 	// Insert records that blocks [lba, lba+count) arrived from media,
 	// evicting as needed.
 	Insert(lba int64, count int)
@@ -153,6 +161,29 @@ func (s *SegmentStore) Touch(lba int64) {
 	}
 }
 
+// ResidentPrefix implements Store with one binary search, then a walk
+// over the abutting runs that continue the prefix.
+func (s *SegmentStore) ResidentPrefix(lba int64, n int) int {
+	end := lba + int64(n)
+	at := lba
+	for i := s.search(lba); i < len(s.runs) && s.runs[i].start <= at && at < end; i++ {
+		at = s.runs[i].end
+	}
+	return int(min(at, end) - lba)
+}
+
+// TouchRange implements Store. The clock advances once per resident
+// block crossed and each run's segment takes the stamp of its last
+// block, so the stamps match per-block Touch calls bit for bit.
+func (s *SegmentStore) TouchRange(lba int64, n int) {
+	end := lba + int64(n)
+	for i := s.search(lba); i < len(s.runs) && s.runs[i].start < end; i++ {
+		r := s.runs[i]
+		s.clock += uint64(min(r.end, end) - max(r.start, lba))
+		s.lru[r.seg] = s.clock
+	}
+}
+
 // Insert implements Store. The incoming run is treated as a new stream:
 // it takes over the least-recently-used segment, evicting that segment's
 // entire previous contents (the paper's whole-victim replacement). Runs
@@ -233,9 +264,6 @@ func (p EvictPolicy) String() string {
 	return "LRU"
 }
 
-// slotPool recycles block -> node index tables across replay cells.
-var slotPool intmap.Pool[int32]
-
 // nilNode terminates the recency and free lists.
 const nilNode = int32(-1)
 
@@ -260,7 +288,7 @@ var nodePool = sync.Pool{
 type BlockStore struct {
 	capacity int
 	policy   EvictPolicy
-	index    *intmap.Map[int32] // block -> node slab index
+	index    *Table // block -> node slab index
 	nodes    []blockNode
 	slab     *[]blockNode // pooled backing-array handle
 	free     int32        // free-list head
@@ -276,10 +304,14 @@ func NewBlockStore(capacity int, policy EvictPolicy) *BlockStore {
 		panic("cache: block store needs positive capacity")
 	}
 	slab := nodePool.Get().(*[]blockNode)
+	index := NewTable()
+	// Resident blocks come in clusters of a few blocks, so a quarter of
+	// the capacity in nodes of each kind covers a full pool.
+	index.reserve(capacity / 4)
 	return &BlockStore{
 		capacity: capacity,
 		policy:   policy,
-		index:    slotPool.Get(capacity),
+		index:    index,
 		nodes:    (*slab)[:0],
 		slab:     slab,
 		free:     nilNode,
@@ -306,7 +338,7 @@ func (s *BlockStore) Policy() EvictPolicy { return s.policy }
 // Release implements Store: index table and node slab go back to their
 // pools.
 func (s *BlockStore) Release() {
-	slotPool.Put(s.index)
+	s.index.Release()
 	s.index = nil
 	*s.slab = s.nodes[:0]
 	nodePool.Put(s.slab)
@@ -372,6 +404,24 @@ func (s *BlockStore) Touch(lba int64) {
 	}
 }
 
+// ResidentPrefix implements Store: one run query on the index.
+func (s *BlockStore) ResidentPrefix(lba int64, n int) int {
+	return s.index.Run(lba, n)
+}
+
+// TouchRange implements Store. Under MRU it is a no-op, like Touch.
+func (s *BlockStore) TouchRange(lba int64, n int) {
+	if s.policy == EvictMRU {
+		return
+	}
+	for b := lba; b < lba+int64(n); b++ {
+		if nd, ok := s.index.Get(b); ok {
+			s.unlink(nd)
+			s.pushFront(nd)
+		}
+	}
+}
+
 // Insert implements Store. Each block of the run is added most-recent
 // first; when the pool is full, a victim is chosen by the eviction
 // policy. Under MRU the victim is the most recently used block other
@@ -416,137 +466,4 @@ func (s *BlockStore) evict(n int32) {
 	s.nodes[n].next = s.free
 	s.free = n
 	s.evicted++
-}
-
-// ---- HDC region -------------------------------------------------------------
-
-// HDCRegion is the host-managed, pinned portion of a controller cache.
-// Pinned blocks are never replaced; dirty pinned blocks accumulate until
-// the host issues flush_hdc.
-type HDCRegion struct {
-	capacity int
-	blocks   []int64 // pinned blocks, ascending
-	dirty    []bool  // dirty[i] belongs to blocks[i]
-}
-
-// NewHDCRegion returns a region able to pin capacity blocks. A zero
-// capacity is legal and models a drive with HDC disabled.
-func NewHDCRegion(capacity int) *HDCRegion {
-	if capacity < 0 {
-		panic("cache: negative HDC capacity")
-	}
-	return &HDCRegion{
-		capacity: capacity,
-		blocks:   make([]int64, 0, capacity),
-		dirty:    make([]bool, 0, capacity),
-	}
-}
-
-// Capacity reports the maximum number of pinned blocks.
-func (h *HDCRegion) Capacity() int { return h.capacity }
-
-// Len reports currently pinned blocks.
-func (h *HDCRegion) Len() int { return len(h.blocks) }
-
-// search returns the index of the first pinned block >= lba, and
-// whether that block is lba itself.
-func (h *HDCRegion) search(lba int64) (int, bool) {
-	lo, hi := 0, len(h.blocks)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if h.blocks[m] < lba {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo, lo < len(h.blocks) && h.blocks[lo] == lba
-}
-
-// Contains reports whether the block is pinned.
-func (h *HDCRegion) Contains(lba int64) bool {
-	_, ok := h.search(lba)
-	return ok
-}
-
-// FirstPinned reports the offset of the first pinned block in
-// [lba, lba+n), or n if none of them is pinned.
-func (h *HDCRegion) FirstPinned(lba int64, n int) int {
-	i, _ := h.search(lba)
-	if i < len(h.blocks) && h.blocks[i] < lba+int64(n) {
-		return int(h.blocks[i] - lba)
-	}
-	return n
-}
-
-// AllPinned reports whether every block of [lba, lba+n) is pinned.
-func (h *HDCRegion) AllPinned(lba int64, n int) bool {
-	if n <= 0 {
-		return true
-	}
-	// The pinned blocks are distinct and ascending, so the range is
-	// covered exactly when its first and last blocks sit n-1 apart.
-	i, ok := h.search(lba)
-	last := i + n - 1
-	return ok && last < len(h.blocks) && h.blocks[last] == lba+int64(n-1)
-}
-
-// Pin implements pin_blk: it marks the block non-replaceable. It reports
-// false when the region is full or the block is already pinned.
-func (h *HDCRegion) Pin(lba int64) bool {
-	i, ok := h.search(lba)
-	if ok || len(h.blocks) >= h.capacity {
-		return false
-	}
-	h.blocks = slices.Insert(h.blocks, i, lba)
-	h.dirty = slices.Insert(h.dirty, i, false)
-	return true
-}
-
-// Unpin implements unpin_blk. It reports whether the block was pinned,
-// and whether it was dirty (the caller must then write it back).
-func (h *HDCRegion) Unpin(lba int64) (was, dirty bool) {
-	i, ok := h.search(lba)
-	if !ok {
-		return false, false
-	}
-	dirty = h.dirty[i]
-	h.blocks = slices.Delete(h.blocks, i, i+1)
-	h.dirty = slices.Delete(h.dirty, i, i+1)
-	return true, dirty
-}
-
-// MarkDirty records a write absorbed by a pinned block. It reports false
-// if the block is not pinned.
-func (h *HDCRegion) MarkDirty(lba int64) bool {
-	i, ok := h.search(lba)
-	if ok {
-		h.dirty[i] = true
-	}
-	return ok
-}
-
-// Flush implements flush_hdc: it returns the dirty pinned blocks in
-// ascending order and clears their dirty flags. The caller schedules
-// the actual media writes.
-func (h *HDCRegion) Flush() []int64 {
-	var dirty []int64
-	for i, d := range h.dirty {
-		if d {
-			dirty = append(dirty, h.blocks[i])
-			h.dirty[i] = false
-		}
-	}
-	return dirty
-}
-
-// DirtyCount reports how many pinned blocks are currently dirty.
-func (h *HDCRegion) DirtyCount() int {
-	n := 0
-	for _, d := range h.dirty {
-		if d {
-			n++
-		}
-	}
-	return n
 }

@@ -17,6 +17,11 @@ type twin struct {
 	refBlk *refBlockStore
 	hdc    *HDCRegion
 	refHDC *refHDCRegion
+	// addr maps an operation's address byte to a block, and spans
+	// lists the [from, to) block ranges check compares; nil means the
+	// identity over [0, domain+40).
+	addr  func(byte) int64
+	spans [][2]int64
 }
 
 // domain bounds the block addresses twin operations touch, so runs
@@ -62,6 +67,9 @@ func (w *twin) insert(lba int64, n int) {
 func (w *twin) step(op, a, b byte) {
 	t := w.t
 	lba, n := int64(a), 1+int(b%40)
+	if w.addr != nil {
+		lba = w.addr(a)
+	}
 	switch op % 9 {
 	case 0:
 		w.insert(lba, n)
@@ -153,7 +161,18 @@ func (w *twin) check() {
 	if got, want := w.hdc.DirtyCount(), w.refHDC.DirtyCount(); got != want {
 		t.Fatalf("HDC DirtyCount = %d, reference %d", got, want)
 	}
-	for b := int64(0); b < domain+40; b++ {
+	if w.spans == nil {
+		w.checkSpan(0, domain+40)
+	}
+	for _, s := range w.spans {
+		w.checkSpan(s[0], s[1])
+	}
+}
+
+// checkSpan compares the residency of every block of [from, to).
+func (w *twin) checkSpan(from, to int64) {
+	t := w.t
+	for b := from; b < to; b++ {
 		if w.seg.Contains(b) != w.refSeg.Contains(b) {
 			t.Fatalf("segment residency of block %d differs from reference", b)
 		}

@@ -411,10 +411,8 @@ func (d *Disk) segBlocks() int { return d.cfg.SegmentBytes / d.cfg.Geom.BlockSiz
 func (d *Disk) resident(pba int64, n int) bool {
 	for n > 0 {
 		k := d.hdc.FirstPinned(pba, n)
-		for i := 0; i < k; i++ {
-			if !d.store.Contains(pba + int64(i)) {
-				return false
-			}
+		if d.store.ResidentPrefix(pba, k) < k {
+			return false
 		}
 		pba += int64(k + 1)
 		n -= k + 1
@@ -427,13 +425,6 @@ func (d *Disk) resident(pba int64, n int) bool {
 // that can serve them without a media access.
 func (d *Disk) PinnedAll(pba int64, n int) bool {
 	return d.hdc.AllPinned(pba, n)
-}
-
-// touchRange refreshes recency for resident blocks.
-func (d *Disk) touchRange(pba int64, n int) {
-	for i := 0; i < n; i++ {
-		d.store.Touch(pba + int64(i))
-	}
 }
 
 // Submit accepts one request. The controller checks its cache before
@@ -494,7 +485,7 @@ func (d *Disk) Submit(r Request) {
 			d.tr.Outcome(r.trace, probe.OutcomeCacheHit)
 			d.markRAUsed(r.PBA, r.Blocks)
 		}
-		d.touchRange(r.PBA, r.Blocks)
+		d.store.TouchRange(r.PBA, r.Blocks)
 		d.bus.Transfer(bytes, r.Done)
 		return
 	}
@@ -538,7 +529,7 @@ func (d *Disk) serviceNext() {
 			d.tr.Outcome(r.trace, probe.OutcomeLateHit)
 			d.markRAUsed(r.PBA, r.Blocks)
 		}
-		d.touchRange(r.PBA, r.Blocks)
+		d.store.TouchRange(r.PBA, r.Blocks)
 		d.bus.Transfer(r.Blocks*d.cfg.Geom.BlockSize, r.Done)
 		d.serviceNext()
 		return
@@ -617,7 +608,7 @@ func (d *Disk) finishMedia() {
 	r, count := d.inflight, d.inflightCount
 	d.inflight = Request{} // release the Done closure
 	if r.Write {
-		d.touchRange(r.PBA, r.Blocks)
+		d.store.TouchRange(r.PBA, r.Blocks)
 		if r.Done != nil {
 			r.Done(d.sim.Now())
 		}

@@ -93,9 +93,11 @@ type Sampler struct {
 	prev []DiskSample
 	sink *Sink
 	// runField is the run label pre-encoded as a CSV field; buf is the
-	// reused batch buffer.
+	// reused batch buffer; spilled records that a batch reached the
+	// sink before Close.
 	runField string
 	buf      []byte
+	spilled  bool
 }
 
 // NewSampler returns a sampler for the given drives writing through
@@ -232,6 +234,7 @@ func (s *Sampler) sample(now float64) {
 	if len(b) >= samplerSpillBytes {
 		s.sink.Write(b)
 		b = b[:0]
+		s.spilled = true
 	}
 	s.buf = b
 }

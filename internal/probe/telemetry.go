@@ -3,6 +3,7 @@ package probe
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 
 	"diskthru/internal/sim"
@@ -90,6 +91,33 @@ func (rs *RunScope) StartSampler(sm *sim.Simulator, disks []DiskProbe, src Sampl
 	}
 	rs.samp = NewSampler(rs.run, rs.tel.interval, disks, src, rs.tel.metrics)
 	rs.samp.Start(sm)
+}
+
+// CancelledTime is the time column of the metrics row that ends a
+// cancelled run.
+const CancelledTime = "cancelled"
+
+// Abort ends the scope of a cancelled run. The batches the run already
+// spilled stay in the sinks and its retained tails are dropped. Each
+// sink that holds lines from the run gets one terminal record marking
+// them partial: the trace a {"run":…,"cancelled":true} line, the
+// metrics a row whose time column is CancelledTime and whose other
+// columns after run are empty. A sink that holds none of the run's
+// lines gets nothing. A write error stays in the sink, where the next
+// Finish on it reports it.
+func (rs *RunScope) Abort() {
+	if rs == nil {
+		return
+	}
+	if rs.rec != nil && rs.rec.base > 0 {
+		b := appendJSONString([]byte(`{"run":`), rs.run)
+		rs.tel.trace.Write(append(b, `,"cancelled":true}`+"\n"...))
+	}
+	if rs.samp != nil && rs.samp.spilled {
+		b := append([]byte(rs.samp.runField), ","+CancelledTime...)
+		b = append(b, strings.Repeat(",", len(metricsHeader)-2)...)
+		rs.tel.metrics.Write(append(b, '\n'))
+	}
 }
 
 // Finish flushes the run's retained tails — the records whose

@@ -43,8 +43,8 @@ func RunLive(w *Workload, cfg Config, opts LiveOptions) (LiveResult, error) {
 
 // RunLiveContext is RunLive with the cooperative cancellation of
 // RunContext: ctx is polled during the replay, and a fired context
-// aborts the run with ctx's error, no result and an unfinished
-// telemetry scope.
+// aborts the run with ctx's error, no result and an aborted telemetry
+// scope.
 func RunLiveContext(ctx context.Context, w *Workload, cfg Config, opts LiveOptions) (LiveResult, error) {
 	return replay(ctx, w, cfg, &opts)
 }

@@ -42,8 +42,8 @@ allocs:
 # for another slot type), and the journal records a restarting daemon
 # replays (no record may panic it: each journal is refused with an error
 # or replayed, every job once) — plus three equivalence
-# properties: the calendar queue must pop in exactly the reference
-# heap's (time, seq) order on adversarial schedules, the run-granular
+# properties: the event heap must pop in exactly the (time, seq) order
+# of a container/heap oracle on adversarial schedules, the run-granular
 # controller caches must answer every query exactly as their
 # block-at-a-time references do, and the host buffer cache must match a
 # map-plus-list LRU in every miss, eviction, counter and FlushDirty
@@ -53,7 +53,7 @@ fuzz:
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzParseProfile$$' -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzSubmitSpec$$' -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz '^FuzzJournalRecover$$' -fuzztime 10s
-	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzCalendarQueueEquivalence$$' -fuzztime 10s
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzEventOrder$$' -fuzztime 10s
 	$(GO) test ./internal/experiments -run '^$$' -fuzz '^FuzzDecodeSlot$$' -fuzztime 10s
 	$(GO) test ./internal/cache -run '^$$' -fuzz '^FuzzCacheEquivalence$$' -fuzztime 10s
 	$(GO) test ./internal/bufcache -run '^$$' -fuzz '^FuzzBufcacheEquivalence$$' -fuzztime 10s

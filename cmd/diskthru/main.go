@@ -33,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -65,12 +66,20 @@ func run() int {
 		tracePath = flag.String("trace", "", "write a per-request lifecycle trace (JSONL) to this file")
 		metrPath  = flag.String("metrics", "", "write per-interval time-series metrics (CSV) to this file")
 		sampleInt = flag.Float64("sample-interval", probe.DefaultSampleInterval,
-			"metrics sampling period in virtual seconds")
+			"metrics sampling period in virtual seconds (non-positive selects the default)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile, taken after the last experiment, to this file")
 		progress = flag.Bool("progress", false, "print a live progress line per experiment to stderr")
 	)
 	flag.Parse()
+
+	// A NaN or infinite period would put the sampler's clock there and
+	// sample forever; refuse it before any output file is created.
+	if math.IsNaN(*sampleInt) || math.IsInf(*sampleInt, 0) {
+		fmt.Fprintf(os.Stderr, "diskthru: -sample-interval %v is not a finite number of seconds\n", *sampleInt)
+		flag.Usage()
+		return 2
+	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)

@@ -2,6 +2,7 @@ package diskthru
 
 import (
 	"fmt"
+	"math"
 
 	"diskthru/internal/cache"
 	"diskthru/internal/disk"
@@ -227,7 +228,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("diskthru: negative HDC size")
 	case c.HDCKB >= c.CacheKB:
 		return fmt.Errorf("diskthru: HDC %d KB leaves no read-ahead cache in %d KB", c.HDCKB, c.CacheKB)
-	case c.CoalesceProb < 0 || c.CoalesceProb > 1:
+	case !(c.CoalesceProb >= 0 && c.CoalesceProb <= 1):
 		return fmt.Errorf("diskthru: coalescing probability %v", c.CoalesceProb)
 	case c.Streams < 0:
 		return fmt.Errorf("diskthru: %d streams", c.Streams)
@@ -237,12 +238,18 @@ func (c Config) Validate() error {
 		return fmt.Errorf("diskthru: cooperative HDC requires mirroring")
 	case c.ArrivalRate < 0:
 		return fmt.Errorf("diskthru: negative arrival rate")
+	case !finite(c.ArrivalRate):
+		return fmt.Errorf("diskthru: arrival rate %v is not finite", c.ArrivalRate)
+	case !finite(c.SyncHDCSeconds):
+		return fmt.Errorf("diskthru: sync period %v is not finite", c.SyncHDCSeconds)
 	case c.FailedDisk < 0 || c.FailedDisk > c.Disks:
 		return fmt.Errorf("diskthru: failed disk %d of %d", c.FailedDisk, c.Disks)
 	case c.FailedDisk > 0 && !c.Mirrored:
 		return fmt.Errorf("diskthru: failing a disk requires mirroring")
 	case c.RequestTimeoutSeconds < 0:
 		return fmt.Errorf("diskthru: negative request timeout")
+	case !finite(c.RequestTimeoutSeconds):
+		return fmt.Errorf("diskthru: request timeout %v is not finite", c.RequestTimeoutSeconds)
 	case c.RequestTimeoutSeconds > 0 && c.Mirrored:
 		return fmt.Errorf("diskthru: request timeout supports only unmirrored arrays")
 	}
@@ -258,6 +265,10 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite: times and rates
+// that reach the event queue must be.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // WithSystem returns a copy running the given system.
 func (c Config) WithSystem(s System) Config { c.System = s; return c }

@@ -195,13 +195,11 @@ type rig struct {
 	logical  int
 }
 
-// recycle hands the pooled storage of the rig and of the host that
-// replayed on it — the simulator's event queue, every drive's
-// cache-index tables and the host buffer cache — to the next replay
-// cell. Legal only after the replay has drained; neither may be used
-// after.
+// recycle hands the pooled storage of the rig's drives and of the host
+// that replayed on it — every drive's cache-index tables and the host
+// buffer cache — to the next replay cell. Legal only after the replay
+// has drained; neither may be used after.
 func (r *rig) recycle(h *host.Host) {
-	r.sim.Recycle()
 	for _, d := range r.disks {
 		d.Release()
 	}
@@ -484,7 +482,7 @@ func replay(ctx context.Context, w *Workload, cfg Config, live *LiveOptions) (Li
 	if err := scope.Finish(); err != nil {
 		return res, fmt.Errorf("diskthru: telemetry: %w", err)
 	}
-	r.recycle(h) // hand the drained queue, index and cache storage to the next replay
+	r.recycle(h) // hand the drained index and cache storage to the next replay
 	return res, nil
 }
 

@@ -55,6 +55,15 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Streams = -1 },
 		func(c *Config) { c.System = System(42) },
 	}
+	// Non-finite times and rates: each can reach the event queue.
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = append(bad,
+			func(c *Config) { c.ArrivalRate = x },
+			func(c *Config) { c.SyncHDCSeconds = x },
+			func(c *Config) { c.RequestTimeoutSeconds = x },
+			func(c *Config) { c.CoalesceProb = x },
+		)
+	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()
 		mutate(&cfg)

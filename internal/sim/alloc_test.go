@@ -2,17 +2,14 @@ package sim
 
 import "testing"
 
-// The scheduling hot path must not allocate once the queue has grown to
-// its working size: At appends into pooled ring buckets (or the far
-// heap) and pop zeroes the vacated slot in place. This pins the
-// optimization the replay loops rely on — a regression here multiplies
-// across every simulated request.
-//
-// A few full drains warm the structure first: the calendar queue
-// retunes its bucket width from observed event gaps during the first
-// drains, and each retune redistributes load across ring slots whose
-// capacities then grow once. After the width settles, drains are
-// allocation-free.
+// The scheduling hot path must not allocate once the heap has grown to
+// its working size: At writes into the heap's spare capacity and pop
+// zeroes the vacated slot in place. This pins the property the replay
+// loops rely on — a regression here multiplies across every simulated
+// request. Two burst shapes: a pending burst feeding a
+// self-rescheduling chain, like a disk dispatch loop under load, and
+// dense work followed by a sparse tail of distant events (idle
+// wakeups, retry backoffs). A few warm-up drains grow the heap first.
 func TestSchedulingHotPathAllocFree(t *testing.T) {
 	s := New()
 	remaining := 0
@@ -24,34 +21,15 @@ func TestSchedulingHotPathAllocFree(t *testing.T) {
 		}
 	}
 	const events = 512
-	burst := func() {
+	chain := func() {
 		remaining = events
-		// A burst of pending events followed by a self-rescheduling
-		// chain, like a disk dispatch loop under load.
 		for i := 0; i < 32; i++ {
 			s.At(s.Now()+Time(i)*1e-4, tick)
 		}
 		s.Run()
 	}
-	for i := 0; i < 8; i++ {
-		burst() // settle width and slot capacities
-	}
-	if avg := testing.AllocsPerRun(20, burst); avg > 0 {
-		t.Errorf("scheduling hot path allocates %.1f times per drain; want 0", avg)
-	}
-}
-
-// The far rung and its migration path must be allocation-free at
-// working size too: a sparse tail of distant events (idle wakeups,
-// retry backoffs) rides the overflow heap and re-enters the ring as
-// the cursor approaches, all in pooled storage.
-func TestFarRungAllocFree(t *testing.T) {
-	s := New()
-	burst := func() {
+	tail := func() {
 		base := s.Now()
-		// Dense work first (anchoring the window near the clock, as a
-		// replay's request stream does), then the sparse tail far
-		// beyond any plausible ring window at default widths.
 		for i := 0; i < 64; i++ {
 			s.At(base+Time(i)*1e-4, func(Time) {})
 		}
@@ -60,11 +38,16 @@ func TestFarRungAllocFree(t *testing.T) {
 		}
 		s.Run()
 	}
-	for i := 0; i < 8; i++ {
-		burst()
-	}
-	if avg := testing.AllocsPerRun(20, burst); avg > 0 {
-		t.Errorf("far-rung path allocates %.1f times per drain; want 0", avg)
+	for _, shape := range []struct {
+		name  string
+		burst func()
+	}{{"chain", chain}, {"sparse-tail", tail}} {
+		for i := 0; i < 8; i++ {
+			shape.burst()
+		}
+		if avg := testing.AllocsPerRun(20, shape.burst); avg > 0 {
+			t.Errorf("%s: scheduling hot path allocates %.1f times per drain; want 0", shape.name, avg)
+		}
 	}
 }
 
@@ -92,7 +75,7 @@ func TestProgressHookAllocFree(t *testing.T) {
 		s.Run()
 	}
 	for i := 0; i < 8; i++ {
-		burst() // settle width and slot capacities
+		burst() // grow the heap to its working size
 	}
 	if avg := testing.AllocsPerRun(20, burst); avg > 0 {
 		t.Errorf("progress-instrumented drain allocates %.1f times per drain; want 0", avg)
@@ -103,7 +86,7 @@ func TestProgressHookAllocFree(t *testing.T) {
 }
 
 // RunUntil's bounded drain peeks at the queue head between steps; the
-// peek (and the cursor advances it may trigger) must not allocate.
+// peek must not allocate.
 func TestRunUntilAllocFree(t *testing.T) {
 	s := New()
 	slice := func() {

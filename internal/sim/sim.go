@@ -2,17 +2,16 @@
 // other subsystem runs on.
 //
 // The engine is deliberately small: a monotonic virtual clock measured
-// in seconds (float64) and a pending-event queue, a two-level calendar
-// queue (calqueue.go). Events scheduled for the same instant fire in
-// FIFO order of scheduling, which makes whole simulations deterministic
-// for a fixed input — a property the test suite depends on. The
-// equivalence fuzz and property tests hold the calendar queue to the
-// pop order of a plain binary heap kept in the tests (refheap_test.go).
+// in seconds (float64) and a binary min-heap of pending events. Events
+// scheduled for the same instant fire in FIFO order of scheduling,
+// which makes whole simulations deterministic for a fixed input — a
+// property the test suite depends on. The order tests hold the heap to
+// an oracle built on container/heap (order_test.go).
 package sim
 
 import (
 	"fmt"
-	"sync"
+	"math"
 )
 
 // Time is a point in virtual time, in seconds since the start of the
@@ -29,6 +28,8 @@ type entry struct {
 	fn  Event
 }
 
+// less is the queue's total order: time, then scheduling sequence, so
+// same-instant events fire FIFO and the pop order is fully determined.
 func (e entry) less(o entry) bool {
 	if e.at != o.at {
 		return e.at < o.at
@@ -41,7 +42,7 @@ func (e entry) less(o entry) bool {
 type Simulator struct {
 	now     Time
 	nextID  uint64
-	q       *calQueue
+	q       []entry // binary min-heap under entry.less
 	ran     uint64
 	maxPend int
 
@@ -56,41 +57,8 @@ type Simulator struct {
 	progress func(processed uint64, now Time)
 }
 
-// queuePool recycles whole event queues — ring buckets, overflow heap
-// and all — across simulators, so a sweep of thousands of replays
-// grows the structure once instead of once per run. Safe for
-// concurrent replay cells.
-var queuePool = sync.Pool{
-	New: func() any { return newCalQueue() },
-}
-
-// New returns an empty simulator with the clock at zero. Its event
-// queue comes from a process-wide pool; call Recycle after the run
-// drains to give it back.
-func New() *Simulator {
-	return &Simulator{q: queuePool.Get().(*calQueue)}
-}
-
-// queue returns the event queue, attaching a pooled one on first use so
-// the zero-value Simulator keeps working.
-func (s *Simulator) queue() *calQueue {
-	if s.q == nil {
-		s.q = queuePool.Get().(*calQueue)
-	}
-	return s.q
-}
-
-// Recycle returns the simulator's event queue to the process-wide pool
-// for the next New. Legal only once the queue has drained (pending
-// events would be lost); the simulator must not be used afterwards.
-func (s *Simulator) Recycle() {
-	if s.q == nil || s.q.len() != 0 {
-		return
-	}
-	s.q.reset()
-	queuePool.Put(s.q)
-	s.q = nil
-}
+// New returns an empty simulator with the clock at zero.
+func New() *Simulator { return &Simulator{} }
 
 // Now reports the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
@@ -99,36 +67,78 @@ func (s *Simulator) Now() Time { return s.now }
 func (s *Simulator) Processed() uint64 { return s.ran }
 
 // Pending reports how many events are waiting in the queue.
-func (s *Simulator) Pending() int {
-	if s.q == nil {
-		return 0
-	}
-	return s.q.len()
-}
+func (s *Simulator) Pending() int { return len(s.q) }
 
 // MaxPending reports the high-water mark of the event queue — a gauge
 // for the telemetry layer and for sizing intuition in tests.
 func (s *Simulator) MaxPending() int { return s.maxPend }
 
-// Scheduled reports how many events have ever been scheduled.
-func (s *Simulator) Scheduled() uint64 { return s.nextID }
-
 // At schedules fn to run at the absolute virtual time at. Scheduling in
-// the past panics: it always indicates a modeling bug, never a
-// recoverable condition.
+// the past, or at a NaN or infinite time, panics: it always indicates a
+// modeling bug, never a recoverable condition, and the heap needs
+// times that are totally ordered.
 func (s *Simulator) At(at Time, fn Event) {
-	if at < s.now {
-		panic(fmt.Sprintf("sim: event scheduled at %v before now %v", at, s.now))
+	if !(at >= s.now && at <= math.MaxFloat64) {
+		panic(fmt.Sprintf("sim: event scheduled at %v: need a finite time no earlier than now %v", at, s.now))
 	}
 	if fn == nil {
 		panic("sim: nil event")
 	}
 	s.nextID++
-	q := s.queue()
-	q.push(entry{at: at, seq: s.nextID, fn: fn})
-	if n := q.len(); n > s.maxPend {
+	s.push(entry{at: at, seq: s.nextID, fn: fn})
+	if n := len(s.q); n > s.maxPend {
 		s.maxPend = n
 	}
+}
+
+// push adds e to the heap, moving the hole at the end up past every
+// later parent and writing e once.
+func (s *Simulator) push(e entry) {
+	s.q = append(s.q, e)
+	h := s.q
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.less(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+}
+
+// pop removes and returns the earliest entry, moving the hole at the
+// root down past every earlier child of the displaced last entry.
+// Caller guarantees the heap is non-empty.
+func (s *Simulator) pop() entry {
+	h := s.q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = entry{} // the slack keeps no event closure alive
+	h = h[:n]
+	s.q = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].less(h[c]) {
+			c = r
+		}
+		if !h[c].less(last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+	return top
 }
 
 // After schedules fn to run d seconds from now. Negative delays panic.
@@ -137,10 +147,10 @@ func (s *Simulator) After(d float64, fn Event) { s.At(s.now+d, fn) }
 // Step fires the single earliest pending event and reports whether one
 // existed.
 func (s *Simulator) Step() bool {
-	if s.q == nil || s.q.len() == 0 {
+	if len(s.q) == 0 {
 		return false
 	}
-	e := s.q.pop()
+	e := s.pop()
 	s.now = e.at
 	s.ran++
 	e.fn(s.now)
@@ -225,14 +235,14 @@ func (s *Simulator) Run() Time {
 // clock at the last fired event, not at the deadline.
 func (s *Simulator) RunUntil(deadline Time) Time {
 	if s.cancel == nil && s.progress == nil {
-		for s.q != nil && s.q.len() > 0 && s.q.peekAt() <= deadline {
+		for len(s.q) > 0 && s.q[0].at <= deadline {
 			s.Step()
 		}
 	} else {
 	drain:
 		for {
 			for i := 0; i < cancelCheckEvery; i++ {
-				if s.q == nil || s.q.len() == 0 || s.q.peekAt() > deadline {
+				if len(s.q) == 0 || s.q[0].at > deadline {
 					break drain
 				}
 				s.Step()

@@ -29,10 +29,13 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 # The allocation gate. The race detector changes allocation counts, so
-# TestDriverAllocBudget is built only without -race and `make race`
-# skips it; this runs it in an ordinary build.
+# every allocation guard that counts whole runs is built only without
+# -race and `make race` skips it; this runs each in an ordinary build:
+# TestDriverAllocBudget (root) and TestOpenLoopAllocationsFlat
+# (internal/host).
 allocs:
 	$(GO) test -run '^TestDriverAllocBudget$$' -count 1 .
+	$(GO) test -run '^TestOpenLoopAllocationsFlat$$' -count 1 ./internal/host
 
 # Short fuzz budgets over five untrusted input surfaces — trace files,
 # fault-profile JSON, POST /v1/jobs bodies (decoding and validation must

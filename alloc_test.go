@@ -6,6 +6,7 @@
 package diskthru_test
 
 import (
+	"math"
 	"runtime/debug"
 	"testing"
 
@@ -15,6 +16,10 @@ import (
 // allocSlack is how far a driver's allocation count may rise above its
 // budget before TestDriverAllocBudget fails.
 const allocSlack = 1.10
+
+// allocGCDrift is how far a driver's count under forced collection may
+// stray from its count in the default pass, as a fraction of the latter.
+const allocGCDrift = 0.005
 
 // driverAllocs are the heap allocations of one serial Quick-scale run
 // of each driver, measured on linux/amd64 with Go 1.24. Allocation
@@ -39,9 +44,11 @@ var driverAllocs = []struct {
 // rankings), and the victim-cache sweep, which replays the server
 // trace through the host buffer cache stage. The forced-gc pass runs
 // the same table with a collection every few percent of heap growth,
-// so a count that rises when GC empties a sync.Pool between two cells
-// fails every time instead of on an unlucky run.
+// and each driver's count there must agree with the default pass to
+// within allocGCDrift: no storage outlives its cell, so when the
+// collector runs cannot change what a cell allocates.
 func TestDriverAllocBudget(t *testing.T) {
+	plain := map[string]float64{}
 	budget := func(t *testing.T) {
 		for _, d := range driverAllocs {
 			t.Run(d.name, func(t *testing.T) {
@@ -56,6 +63,12 @@ func TestDriverAllocBudget(t *testing.T) {
 				if limit := allocSlack * d.allocs; got > limit {
 					t.Errorf("%s: %.0f allocs/run, above %.2f x budget %.0f = %.0f",
 						d.name, got, allocSlack, d.allocs, limit)
+				}
+				if base, ok := plain[d.name]; !ok {
+					plain[d.name] = got
+				} else if math.Abs(got-base) > allocGCDrift*base {
+					t.Errorf("%s: %.0f allocs/run under forced GC, %.0f in the default pass; want within %.1f%%",
+						d.name, got, base, 100*allocGCDrift)
 				}
 			})
 		}

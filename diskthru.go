@@ -195,17 +195,6 @@ type rig struct {
 	logical  int
 }
 
-// recycle hands the pooled storage of the rig's drives and of the host
-// that replayed on it — every drive's cache-index tables and the host
-// buffer cache — to the next replay cell. Legal only after the replay
-// has drained; neither may be used after.
-func (r *rig) recycle(h *host.Host) {
-	for _, d := range r.disks {
-		d.Release()
-	}
-	h.Release()
-}
-
 // diskProbes adapts the drives to the sampler's interface.
 func (r *rig) diskProbes() []probe.DiskProbe {
 	out := make([]probe.DiskProbe, len(r.disks))
@@ -482,7 +471,6 @@ func replay(ctx context.Context, w *Workload, cfg Config, live *LiveOptions) (Li
 	if err := scope.Finish(); err != nil {
 		return res, fmt.Errorf("diskthru: telemetry: %w", err)
 	}
-	r.recycle(h) // hand the drained index and cache storage to the next replay
 	return res, nil
 }
 

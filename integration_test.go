@@ -1,6 +1,7 @@
 package diskthru
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -73,20 +74,38 @@ func TestMakespanBoundedByWorkAndCriticalPath(t *testing.T) {
 	}
 }
 
+// TestHDCNeverHurtsEquivalentConfigs checks a metamorphic relation: an
+// HDC of 0 KB gives the same Result as no HDC, field for field, even
+// with every HDC knob that acts only on a non-empty region turned on
+// (the end-of-run and periodic flush_hdc, the history planner). It runs
+// a read-only and a write-heavy workload under FOR and under Segm.
 func TestHDCNeverHurtsEquivalentConfigs(t *testing.T) {
-	// With zero HDC the WithHDC path must equal the plain path exactly.
-	w := syntheticFixture(t, 16)
-	cfg := testConfig()
-	a, err := Run(w, cfg)
+	writes, err := SyntheticWorkload(SyntheticOptions{
+		FileKB: 16, Requests: 2000, FootprintMB: 256, WriteFraction: 0.4,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(w, cfg.WithHDC(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.IOTime != b.IOTime {
-		t.Fatalf("HDC=0 changed the run: %v vs %v", a.IOTime, b.IOTime)
+	for i, w := range []*Workload{syntheticFixture(t, 16), writes} {
+		for _, sys := range []System{FOR, Segm} {
+			cfg := testConfig().WithSystem(sys)
+			cfg.FlushHDCAtEnd = false
+			a, err := Run(w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			zero := cfg.WithHDC(0)
+			zero.FlushHDCAtEnd, zero.SyncHDCSeconds, zero.Planner = true, 0.05, PlannerHistory
+			b, err := Run(w, zero)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// %#v prints NaN as NaN, so the closed loop's NaN latency
+			// fields compare equal where reflect.DeepEqual would not.
+			if ga, gb := fmt.Sprintf("%#v", a), fmt.Sprintf("%#v", b); ga != gb {
+				t.Errorf("workload %d (%s)/%v: HDC=0 changed the run:\n%s\nvs\n%s", i, w.Name(), sys, ga, gb)
+			}
+		}
 	}
 }
 

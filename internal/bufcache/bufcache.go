@@ -4,48 +4,24 @@
 // server-level file accesses stream through this LRU cache and only the
 // misses (and merged writes) become disk-level trace records.
 //
-// The residency index is a cache.Table, direct-addressed and
-// page-sparse over logical blocks, and the LRU nodes live in a flat
-// index-linked slab, so the filtering stage — one probe per
-// server-level block — does no hashing and no per-node allocation.
-// Storage is pooled across runs via Release.
+// The resident blocks sit on a cache.LRU, the controller caches'
+// index-linked recency list over a direct-addressed, page-sparse
+// cache.Table, so the filtering stage — one probe per server-level
+// block — does no hashing and no per-node allocation.
 package bufcache
 
 import (
 	"fmt"
-	"sync"
 
 	"diskthru/internal/cache"
 )
-
-// nilNode terminates the recency and free lists.
-const nilNode = int32(-1)
-
-type node struct {
-	block      int64
-	dirty      bool
-	prev, next int32
-}
-
-// slabPool recycles node slabs across runs.
-var slabPool = sync.Pool{
-	New: func() any {
-		s := make([]node, 0, 1024)
-		return &s
-	},
-}
 
 // Cache is a block-granularity LRU buffer cache with write-back
 // semantics: write hits are absorbed (merged), write misses allocate the
 // block dirty, and evictions of dirty blocks surface as disk writes.
 type Cache struct {
 	capacity int
-	index    *cache.Table // block -> node slab index
-	nodes    []node
-	slab     *[]node // pooled backing-array handle
-	free     int32   // free-list head
-	// head = most recently used.
-	head, tail int32
+	lru      cache.LRU
 
 	hits, misses   uint64
 	absorbedWrites uint64
@@ -56,34 +32,14 @@ func New(capacity int) *Cache {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("bufcache: capacity %d", capacity))
 	}
-	slab := slabPool.Get().(*[]node)
-	return &Cache{
-		capacity: capacity,
-		index:    cache.NewTable(),
-		nodes:    (*slab)[:0],
-		slab:     slab,
-		free:     nilNode,
-		head:     nilNode,
-		tail:     nilNode,
-	}
-}
-
-// Release returns the cache's index table and node slab to their pools
-// for the next run. The cache must not be used afterwards.
-func (c *Cache) Release() {
-	c.index.Release()
-	c.index = nil
-	*c.slab = c.nodes[:0]
-	slabPool.Put(c.slab)
-	c.slab = nil
-	c.nodes = nil
+	return &Cache{capacity: capacity, lru: cache.NewLRU(capacity)}
 }
 
 // Capacity reports the block capacity.
 func (c *Cache) Capacity() int { return c.capacity }
 
 // Len reports resident blocks.
-func (c *Cache) Len() int { return c.index.Len() }
+func (c *Cache) Len() int { return c.lru.Len() }
 
 // Hits and Misses report the access counters.
 func (c *Cache) Hits() uint64   { return c.hits }
@@ -105,7 +61,7 @@ type Counters struct {
 func (c *Cache) Counters() Counters {
 	return Counters{
 		Hits: c.hits, Misses: c.misses, AbsorbedWrites: c.absorbedWrites,
-		Len: c.index.Len(), Capacity: c.capacity,
+		Len: c.lru.Len(), Capacity: c.capacity,
 	}
 }
 
@@ -123,27 +79,20 @@ type Eviction struct {
 // block missed (a read miss implies a disk read; a write miss dirties a
 // freshly allocated block) and any eviction the insertion caused.
 func (c *Cache) Access(block int64, write bool) (miss bool, ev Eviction) {
-	if n, ok := c.index.Get(block); ok {
+	if n, had := c.lru.Add(block, write); had {
 		c.hits++
 		if write {
 			c.absorbedWrites++
-			c.nodes[n].dirty = true
+			c.lru.MarkDirty(n)
 		}
-		c.moveToFront(n)
+		c.lru.MoveToFront(n)
 		return false, Eviction{}
 	}
 	c.misses++
-	if c.index.Len() >= c.capacity {
-		v := c.tail
-		c.unlink(v)
-		c.index.Delete(c.nodes[v].block)
-		ev = Eviction{Block: c.nodes[v].block, Dirty: c.nodes[v].dirty, Happened: true}
-		c.nodes[v].next = c.free
-		c.free = v
+	if c.lru.Len() > c.capacity {
+		b, dirty := c.lru.Remove(c.lru.Back())
+		ev = Eviction{Block: b, Dirty: dirty, Happened: true}
 	}
-	n := c.alloc(block, write)
-	c.index.Put(block, n)
-	c.pushFront(n)
 	return true, ev
 }
 
@@ -151,67 +100,10 @@ func (c *Cache) Access(block int64, write bool) (miss bool, ev Eviction) {
 // turnover. It returns the dirty blocks that must be written back.
 func (c *Cache) Clear() []int64 {
 	dirty := c.FlushDirty()
-	c.index.Clear()
-	c.nodes = c.nodes[:0]
-	c.free = nilNode
-	c.head, c.tail = nilNode, nilNode
+	c.lru.Clear()
 	return dirty
 }
 
 // FlushDirty returns all dirty resident blocks (in LRU-to-MRU order) and
 // marks them clean — the periodic sync.
-func (c *Cache) FlushDirty() []int64 {
-	var out []int64
-	for n := c.tail; n != nilNode; n = c.nodes[n].prev {
-		if c.nodes[n].dirty {
-			c.nodes[n].dirty = false
-			out = append(out, c.nodes[n].block)
-		}
-	}
-	return out
-}
-
-// alloc takes a node from the free list, or extends the slab.
-func (c *Cache) alloc(block int64, dirty bool) int32 {
-	if n := c.free; n != nilNode {
-		c.free = c.nodes[n].next
-		c.nodes[n] = node{block: block, dirty: dirty, prev: nilNode, next: nilNode}
-		return n
-	}
-	c.nodes = append(c.nodes, node{block: block, dirty: dirty, prev: nilNode, next: nilNode})
-	return int32(len(c.nodes) - 1)
-}
-
-func (c *Cache) moveToFront(n int32) {
-	if c.head == n {
-		return
-	}
-	c.unlink(n)
-	c.pushFront(n)
-}
-
-func (c *Cache) unlink(n int32) {
-	nd := &c.nodes[n]
-	if nd.prev != nilNode {
-		c.nodes[nd.prev].next = nd.next
-	} else {
-		c.head = nd.next
-	}
-	if nd.next != nilNode {
-		c.nodes[nd.next].prev = nd.prev
-	} else {
-		c.tail = nd.prev
-	}
-	nd.prev, nd.next = nilNode, nilNode
-}
-
-func (c *Cache) pushFront(n int32) {
-	c.nodes[n].next = c.head
-	if c.head != nilNode {
-		c.nodes[c.head].prev = n
-	}
-	c.head = n
-	if c.tail == nilNode {
-		c.tail = n
-	}
-}
+func (c *Cache) FlushDirty() []int64 { return c.lru.FlushDirty() }

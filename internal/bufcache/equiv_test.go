@@ -122,7 +122,6 @@ func runBufTwin(t *testing.T, data []byte) {
 	}
 	capacity := 1 + int(data[0]%64)
 	w := &bufTwin{t: t, c: New(capacity), ref: newRefCache(capacity)}
-	defer w.c.Release()
 	for i := 1; i+1 < len(data); i += 2 {
 		w.step(data[i], data[i+1])
 	}

@@ -24,7 +24,6 @@ func reportPerBlock(b *testing.B, blocks int) {
 
 func BenchmarkSegmentStore(b *testing.B) {
 	s := NewSegmentStore(27, benchRead)
-	defer s.Release()
 	for i := 0; i < b.N; i++ {
 		lba := streamRead(i)
 		if !s.Contains(lba) {
@@ -37,7 +36,6 @@ func BenchmarkSegmentStore(b *testing.B) {
 
 func BenchmarkBlockStoreMRU(b *testing.B) {
 	s := NewBlockStore(1024, EvictMRU)
-	defer s.Release()
 	for i := 0; i < b.N; i++ {
 		s.Insert(streamRead(i), benchRead)
 	}
@@ -52,7 +50,6 @@ func BenchmarkHDCInsertRead(b *testing.B) {
 		h.Pin(streamRead(i) + int64(i%benchRead))
 	}
 	s := NewSegmentStore(27, benchRead)
-	defer s.Release()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lba, count := streamRead(i), benchRead

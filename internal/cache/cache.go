@@ -19,18 +19,17 @@
 // one sorted run table: inserting a segment costs O(runs), and
 // ResidentPrefix and TouchRange are one binary search each. A
 // BlockStore's residents are scattered clusters of a few blocks, so it
-// indexes them in a Table: direct-addressed and page-sparse (a
-// directory over 4096-block regions, 256-block pages of presence bits,
-// 16-block leaves of node slots), with no hashing, memory that follows
-// the clusters, and storage pooled across replay cells via Release. An
-// HDCRegion keeps its pinned and dirty sets as page-sparse bitsets in
-// the same shape, so FirstPinned and AllPinned are word scans.
+// keeps them on an LRU recency list indexed by a Table: direct-addressed
+// and page-sparse (a directory over 4096-block regions, 256-block pages
+// of presence bits, 16-block leaves of node slots), with no hashing and
+// memory that follows the clusters. An HDCRegion keeps its pinned and
+// dirty sets as page-sparse bitsets on the same directory, so
+// FirstPinned and AllPinned are word scans. Every node slab under the
+// directory grows in 64-node chunks and reuses freed nodes from its own
+// free stack; nothing is pooled across replays.
 package cache
 
-import (
-	"slices"
-	"sync"
-)
+import "slices"
 
 // Store is the read-ahead (replaceable) portion of a controller cache.
 type Store interface {
@@ -54,8 +53,8 @@ type Store interface {
 	Evictions() uint64
 	// Name identifies the organization for reports.
 	Name() string
-	// Release returns pooled index storage for reuse by the next replay
-	// cell. The store must not be used afterwards.
+	// Release does nothing. It stays only because bench/micro.go still
+	// calls it, and goes once that call is dropped.
 	Release()
 }
 
@@ -123,7 +122,7 @@ func (s *SegmentStore) Evictions() uint64 { return s.evicted }
 // NumSegments reports the segment count.
 func (s *SegmentStore) NumSegments() int { return len(s.lru) }
 
-// Release implements Store. The run table is small and not pooled.
+// Release implements Store.
 func (s *SegmentStore) Release() {}
 
 // search returns the index of the first run that ends after lba.
@@ -264,37 +263,13 @@ func (p EvictPolicy) String() string {
 	return "LRU"
 }
 
-// nilNode terminates the recency and free lists.
-const nilNode = int32(-1)
-
-// blockNode is one resident block. Nodes live in a flat slab and link
-// by index, so steady-state churn allocates nothing and the recency
-// list walks stay in cache.
-type blockNode struct {
-	lba        int64
-	prev, next int32
-}
-
-// nodePool recycles node slabs across replay cells.
-var nodePool = sync.Pool{
-	New: func() any {
-		s := make([]blockNode, 0, 1024)
-		return &s
-	},
-}
-
 // BlockStore is the block-based cache organization: a pool of capacity
 // blocks assigned to streams on demand, evicted one block at a time.
 type BlockStore struct {
 	capacity int
 	policy   EvictPolicy
-	index    *Table // block -> node slab index
-	nodes    []blockNode
-	slab     *[]blockNode // pooled backing-array handle
-	free     int32        // free-list head
-	// Recency list: head is most recent, tail least recent.
-	head, tail int32
-	evicted    uint64
+	lru      LRU
+	evicted  uint64
 }
 
 // NewBlockStore returns an empty pool of capacity blocks using the given
@@ -303,21 +278,7 @@ func NewBlockStore(capacity int, policy EvictPolicy) *BlockStore {
 	if capacity <= 0 {
 		panic("cache: block store needs positive capacity")
 	}
-	slab := nodePool.Get().(*[]blockNode)
-	index := NewTable()
-	// Resident blocks come in clusters of a few blocks, so a quarter of
-	// the capacity in nodes of each kind covers a full pool.
-	index.reserve(capacity / 4)
-	return &BlockStore{
-		capacity: capacity,
-		policy:   policy,
-		index:    index,
-		nodes:    (*slab)[:0],
-		slab:     slab,
-		free:     nilNode,
-		head:     nilNode,
-		tail:     nilNode,
-	}
+	return &BlockStore{capacity: capacity, policy: policy, lru: NewLRU(capacity)}
 }
 
 // Name implements Store.
@@ -327,7 +288,7 @@ func (s *BlockStore) Name() string { return "block-" + s.policy.String() }
 func (s *BlockStore) Capacity() int { return s.capacity }
 
 // Len implements Store.
-func (s *BlockStore) Len() int { return s.index.Len() }
+func (s *BlockStore) Len() int { return s.lru.Len() }
 
 // Evictions implements Store.
 func (s *BlockStore) Evictions() uint64 { return s.evicted }
@@ -335,57 +296,12 @@ func (s *BlockStore) Evictions() uint64 { return s.evicted }
 // Policy reports the eviction policy.
 func (s *BlockStore) Policy() EvictPolicy { return s.policy }
 
-// Release implements Store: index table and node slab go back to their
-// pools.
-func (s *BlockStore) Release() {
-	s.index.Release()
-	s.index = nil
-	*s.slab = s.nodes[:0]
-	nodePool.Put(s.slab)
-	s.slab = nil
-	s.nodes = nil
-}
+// Release implements Store.
+func (s *BlockStore) Release() {}
 
 // Contains implements Store.
 func (s *BlockStore) Contains(lba int64) bool {
-	return s.index.Contains(lba)
-}
-
-// alloc takes a node from the free list, or extends the slab.
-func (s *BlockStore) alloc(lba int64) int32 {
-	if n := s.free; n != nilNode {
-		s.free = s.nodes[n].next
-		s.nodes[n] = blockNode{lba: lba, prev: nilNode, next: nilNode}
-		return n
-	}
-	s.nodes = append(s.nodes, blockNode{lba: lba, prev: nilNode, next: nilNode})
-	return int32(len(s.nodes) - 1)
-}
-
-func (s *BlockStore) unlink(n int32) {
-	nd := &s.nodes[n]
-	if nd.prev != nilNode {
-		s.nodes[nd.prev].next = nd.next
-	} else {
-		s.head = nd.next
-	}
-	if nd.next != nilNode {
-		s.nodes[nd.next].prev = nd.prev
-	} else {
-		s.tail = nd.prev
-	}
-	nd.prev, nd.next = nilNode, nilNode
-}
-
-func (s *BlockStore) pushFront(n int32) {
-	s.nodes[n].next = s.head
-	if s.head != nilNode {
-		s.nodes[s.head].prev = n
-	}
-	s.head = n
-	if s.tail == nilNode {
-		s.tail = n
-	}
+	return s.lru.index.Contains(lba)
 }
 
 // Touch implements Store. Under LRU a hit promotes the block; under MRU
@@ -395,18 +311,12 @@ func (s *BlockStore) pushFront(n int32) {
 // after). Promoting on hit would instead make every hit block the next
 // victim, which inverts the policy's purpose on reuse-heavy workloads.
 func (s *BlockStore) Touch(lba int64) {
-	if s.policy == EvictMRU {
-		return
-	}
-	if n, ok := s.index.Get(lba); ok {
-		s.unlink(n)
-		s.pushFront(n)
-	}
+	s.TouchRange(lba, 1)
 }
 
 // ResidentPrefix implements Store: one run query on the index.
 func (s *BlockStore) ResidentPrefix(lba int64, n int) int {
-	return s.index.Run(lba, n)
+	return s.lru.index.Run(lba, n)
 }
 
 // TouchRange implements Store. Under MRU it is a no-op, like Touch.
@@ -415,55 +325,43 @@ func (s *BlockStore) TouchRange(lba int64, n int) {
 		return
 	}
 	for b := lba; b < lba+int64(n); b++ {
-		if nd, ok := s.index.Get(b); ok {
-			s.unlink(nd)
-			s.pushFront(nd)
+		if nd, ok := s.lru.index.Get(b); ok {
+			s.lru.MoveToFront(nd)
 		}
 	}
 }
 
 // Insert implements Store. Each block of the run is added most-recent
-// first; when the pool is full, a victim is chosen by the eviction
-// policy. Under MRU the victim is the most recently used block other
+// first; when that takes the pool over capacity, a victim chosen by the
+// eviction policy goes. Under MRU the victim is the most recently used block other
 // than those inserted by this same call, so a long read-ahead cannot
 // evict its own head. Only when every resident block belongs to the
 // run does MRU fall back to the tail.
 func (s *BlockStore) Insert(lba int64, count int) {
-	// The blocks this call has placed are always exactly the head of
+	// The blocks this call has placed are always exactly the front of
 	// the recency list; behind is the first node after them, which is
-	// the MRU victim.
-	behind := s.head
+	// the MRU victim (0 past the back).
+	l := &s.lru
+	behind := l.nodes[0].next
 	for i := 0; i < count; i++ {
-		b := lba + int64(i)
-		if n, ok := s.index.Get(b); ok {
+		n, had := l.Add(lba+int64(i), false)
+		if had {
 			if n == behind {
-				behind = s.nodes[n].next
+				behind = l.nodes[n].next
 			}
-			s.unlink(n)
-			s.pushFront(n)
+			l.MoveToFront(n)
 			continue
 		}
-		if s.index.Len() >= s.capacity {
-			victim := s.tail
-			if s.policy == EvictMRU && behind != nilNode {
+		if l.Len() > s.capacity {
+			victim := l.Back()
+			if s.policy == EvictMRU && behind != 0 {
 				victim = behind
 			}
 			if victim == behind {
-				behind = s.nodes[victim].next
+				behind = l.nodes[victim].next
 			}
-			s.evict(victim)
+			l.Remove(victim)
+			s.evicted++
 		}
-		n := s.alloc(b)
-		s.index.Put(b, n)
-		s.pushFront(n)
 	}
-}
-
-// evict removes node n and returns it to the free list.
-func (s *BlockStore) evict(n int32) {
-	s.unlink(n)
-	s.index.Delete(s.nodes[n].lba)
-	s.nodes[n].next = s.free
-	s.free = n
-	s.evicted++
 }

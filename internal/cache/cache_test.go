@@ -282,8 +282,7 @@ func TestPropertyBlockStoreListMapAgree(t *testing.T) {
 		// Walk the list and compare with the index.
 		n := 0
 		seen := map[int64]bool{}
-		for node := s.head; node != nilNode; node = s.nodes[node].next {
-			lba := s.nodes[node].lba
+		for _, lba := range s.lru.order() {
 			if seen[lba] {
 				return false // duplicate node
 			}

@@ -49,11 +49,6 @@ func newTwin(t *testing.T, c0, c1, c2 byte) *twin {
 	}
 }
 
-func (w *twin) release() {
-	w.seg.Release()
-	w.blk.Release()
-}
-
 // insert feeds both stores the same run.
 func (w *twin) insert(lba int64, n int) {
 	w.seg.Insert(lba, n)
@@ -192,7 +187,6 @@ func runTwin(t *testing.T, data []byte) {
 		return
 	}
 	w := newTwin(t, data[0], data[1], data[2])
-	defer w.release()
 	for i := 3; i+2 < len(data); i += 3 {
 		w.step(data[i], data[i+1], data[i+2])
 	}

@@ -2,37 +2,8 @@ package cache
 
 import "math/bits"
 
-// chunkShift sizes the HDC slabs' chunks: 64 nodes of 64 bytes.
-const chunkShift = 6
-
-// chunked is a slab of nodes addressed by id (1-based) that grows one
-// fixed-size chunk at a time. Nothing is copied as it grows, and its
-// memory tracks the nodes in use instead of a doubling slab's next
-// power of two.
-type chunked[T any] struct {
-	chunks []*[1 << chunkShift]T
-	n      int32
-}
-
-func (c *chunked[T]) at(id int32) *T {
-	id--
-	return &c.chunks[id>>chunkShift][id&(1<<chunkShift-1)]
-}
-
-// add returns the id of a new zeroed node.
-func (c *chunked[T]) add() int32 {
-	if int(c.n)>>chunkShift == len(c.chunks) {
-		c.chunks = append(c.chunks, new([1 << chunkShift]T))
-	}
-	c.n++
-	var zero T
-	*c.at(c.n) = zero
-	return c.n
-}
-
 // hdcPage holds the pinned and dirty bits of 256 consecutive blocks; a
-// dirty bit is only ever set under a pinned one. A free page links to
-// the next through pinned[0].
+// dirty bit is only ever set under a pinned one.
 type hdcPage struct {
 	pinned, dirty [pageWords]uint64
 }
@@ -41,23 +12,19 @@ type hdcPage struct {
 // Pinned blocks are never replaced; dirty pinned blocks accumulate until
 // the host issues flush_hdc.
 //
-// The pinned and dirty sets are page-sparse bitsets in the block
-// table's shape without its leaves: a directory over 4096-block
-// regions, region nodes of 16 page ids, and 256-block pages. The range
-// questions the disk asks are word scans: FirstPinned counts trailing
-// zeros, AllPinned trailing ones, and Flush walks the dirty words in
-// ascending block order. The pinned blocks of a plan are scattered, one
-// page and one region node to a few blocks, so the slabs grow in
-// chunks rather than by doubling, and a region of capacity 0 allocates
-// nothing.
+// The pinned and dirty sets are page-sparse bitsets on the block
+// tables' shared directory: 4096-block regions, region nodes of 16 page
+// ids, and 256-block pages, with no leaves. The range questions the
+// disk asks are word scans: FirstPinned counts trailing zeros,
+// AllPinned trailing ones, and Flush walks the dirty words in ascending
+// block order. The pinned blocks of a plan are scattered, one page and
+// one region node to a few blocks, which the directory's chunked slabs
+// hold without a doubling slab's slack, and a region of capacity 0
+// allocates nothing.
 type HDCRegion struct {
-	capacity    int
-	n, dirtyN   int
-	dir         []int32 // region -> region id; 0 = absent
-	regions     chunked[tableRegion]
-	pages       chunked[hdcPage]
-	freeRegions int32
-	freePages   int32
+	directory[hdcPage]
+	capacity  int
+	n, dirtyN int
 }
 
 // NewHDCRegion returns a region able to pin capacity blocks. A zero
@@ -77,19 +44,6 @@ func (h *HDCRegion) Len() int { return h.n }
 
 // DirtyCount reports how many pinned blocks are currently dirty.
 func (h *HDCRegion) DirtyCount() int { return h.dirtyN }
-
-// page returns the page holding lba, or nil.
-func (h *HDCRegion) page(lba int64) *hdcPage {
-	r := uint64(lba) >> regionShift
-	if r >= uint64(len(h.dir)) || h.dir[r] == 0 {
-		return nil
-	}
-	pid := h.regions.at(h.dir[r])[lba>>pageShift&(regionPages-1)]
-	if pid == 0 {
-		return nil
-	}
-	return h.pages.at(pid)
-}
 
 // Contains reports whether the block is pinned.
 func (h *HDCRegion) Contains(lba int64) bool {
@@ -150,27 +104,15 @@ func (h *HDCRegion) Pin(lba int64) bool {
 	if h.n >= h.capacity || h.Contains(lba) {
 		return false
 	}
-	r := int(uint64(lba) >> regionShift)
-	if r >= len(h.dir) {
-		h.dir = append(h.dir, make([]int32, r+1-len(h.dir))...)
-	}
-	if h.dir[r] == 0 {
-		h.dir[r] = h.newRegion()
-	}
-	reg := h.regions.at(h.dir[r])
-	k := lba >> pageShift & (regionPages - 1)
-	if reg[k] == 0 {
-		reg[k] = h.newPage()
-	}
 	w, off := bit(lba)
-	h.pages.at(reg[k]).pinned[w] |= 1 << off
+	h.pageFor(lba).pinned[w] |= 1 << off
 	h.n++
 	return true
 }
 
 // Unpin implements unpin_blk. It reports whether the block was pinned,
 // and whether it was dirty (the caller must then write it back). A page
-// left empty, and then a region node, goes back to its free list.
+// left empty, and then a region node, goes back to its slab.
 func (h *HDCRegion) Unpin(lba int64) (was, dirty bool) {
 	p := h.page(lba)
 	w, off := bit(lba)
@@ -184,17 +126,8 @@ func (h *HDCRegion) Unpin(lba int64) (was, dirty bool) {
 	if dirty {
 		h.dirtyN--
 	}
-	if p.pinned != [pageWords]uint64{} {
-		return true, dirty
-	}
-	r := uint64(lba) >> regionShift
-	reg := h.regions.at(h.dir[r])
-	k := lba >> pageShift & (regionPages - 1)
-	p.pinned[0], h.freePages = uint64(h.freePages), reg[k]
-	reg[k] = 0
-	if *reg == (tableRegion{}) {
-		reg[0], h.freeRegions = h.freeRegions, h.dir[r]
-		h.dir[r] = 0
+	if p.pinned == [pageWords]uint64{} {
+		h.drop(lba)
 	}
 	return true, dirty
 }
@@ -242,24 +175,4 @@ func (h *HDCRegion) Flush() []int64 {
 	}
 	h.dirtyN = 0
 	return dirty
-}
-
-// newRegion takes a region node from the free list or the slab.
-func (h *HDCRegion) newRegion() int32 {
-	if id := h.freeRegions; id != 0 {
-		reg := h.regions.at(id)
-		h.freeRegions, reg[0] = reg[0], 0
-		return id
-	}
-	return h.regions.add()
-}
-
-// newPage takes a page from the free list or the slab.
-func (h *HDCRegion) newPage() int32 {
-	if id := h.freePages; id != 0 {
-		p := h.pages.at(id)
-		h.freePages, p.pinned[0] = int32(p.pinned[0]), 0
-		return id
-	}
-	return h.pages.add()
 }

@@ -62,13 +62,18 @@ func (w *twin) checkRecency() {
 			t.Fatalf("segment %d stamp = %d, reference %d", i, stamp, w.refSeg.segs[i].lru)
 		}
 	}
-	var order []int64
-	for nd := w.blk.head; nd != nilNode; nd = w.blk.nodes[nd].next {
-		order = append(order, w.blk.nodes[nd].lba)
-	}
-	if !slices.Equal(order, w.refBlk.order) {
+	if order := w.blk.lru.order(); !slices.Equal(order, w.refBlk.order) {
 		t.Fatalf("block recency %v, reference %v", order, w.refBlk.order)
 	}
+}
+
+// order lists the blocks on a recency list from front to back.
+func (l *LRU) order() []int64 {
+	var out []int64
+	for n := l.nodes[0].next; n != 0; n = l.nodes[n].next {
+		out = append(out, l.nodes[n].lba)
+	}
+	return out
 }
 
 // TestCacheEquivalenceAcrossPages replays the twin machinery through
@@ -94,18 +99,16 @@ func TestCacheEquivalenceAcrossPages(t *testing.T) {
 			}
 		}
 		w.checkRecency()
-		w.release()
 	}
 }
 
-// TestTableMatchesMap drives random Put/Delete streams over scattered
+// TestTableMatchesMap drives random store/Delete streams over scattered
 // addresses through a Table and a map, checking Get, Contains, Len and
 // Run after every step, so emptied leaves, pages and regions are freed
 // and reused many times.
 func TestTableMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	tab := NewTable()
-	defer tab.Release()
+	tab := new(Table)
 	ref := map[int64]int32{}
 	addr := func() int64 { return scatter(byte(rng.Intn(256))) + int64(rng.Intn(40)) }
 	for i := 0; i < 20000; i++ {
@@ -119,7 +122,8 @@ func TestTableMatchesMap(t *testing.T) {
 		} else {
 			v := rng.Int31()
 			ref[b] = v
-			tab.Put(b, v)
+			slot, _ := tab.slot(b)
+			*slot = v
 		}
 		q := addr()
 		want, wok := ref[q]
@@ -146,6 +150,42 @@ func TestTableMatchesMap(t *testing.T) {
 	}
 }
 
+// TestChunkedSlab checks the promises every node slab makes: a pointer
+// from at stays valid while later adds grow the slab (Table.slot and
+// the directory hold one across an add), a released id comes back
+// zeroed, and once warm the free stack serves churn without allocating.
+func TestChunkedSlab(t *testing.T) {
+	var c chunked[tableLeaf]
+	id := c.add()
+	p := c.at(id)
+	p[3] = 42
+	for i := 0; i < 5<<chunkShift; i++ {
+		c.add()
+	}
+	if c.at(id) != p || p[3] != 42 {
+		t.Fatalf("node %d moved or changed as the slab grew: %p -> %p, slot %d", id, p, c.at(id), p[3])
+	}
+	c.release(id)
+	if got := c.add(); got != id || *c.at(got) != (tableLeaf{}) {
+		t.Fatalf("add after release = %d %v, want %d zeroed", got, *c.at(got), id)
+	}
+	ids := make([]int32, 100)
+	churn := func() {
+		for i := range ids {
+			ids[i] = c.add()
+			c.at(ids[i])[0] = int32(i)
+		}
+		for _, id := range ids {
+			c.release(id)
+		}
+	}
+	churn()
+	n := c.n
+	if avg := testing.AllocsPerRun(20, churn); avg > 0 || c.n != n {
+		t.Errorf("slab churn allocates %.1f times per round and grew %d -> %d nodes; want 0 and no growth", avg, n, c.n)
+	}
+}
+
 // Layout of the memory guards: the FOR caches of fig7, fig6 and longrun
 // hold isolated clusters about one per 18K blocks across the whole
 // 4,718,560-block disk, every disk touching at most 255 distinct
@@ -155,8 +195,7 @@ const (
 	guardSpacing  = 18504
 )
 
-// allocated reports the bytes fn allocates, with the pools emptied
-// first so recycled storage cannot hide a dense table.
+// allocated reports the bytes fn allocates.
 func allocated(fn func()) uint64 {
 	runtime.GC()
 	runtime.GC()
@@ -178,7 +217,6 @@ func TestBlockStoreMemoryFollowsData(t *testing.T) {
 				s.Insert(c*guardSpacing+round*40, 32)
 			}
 		}
-		s.Release()
 	})
 	if got >= 160<<10 {
 		t.Fatalf("BlockStore churn allocated %d bytes, want < 160 KiB", got)

@@ -1,14 +1,10 @@
 package cache
 
-import (
-	"math/bits"
-	"slices"
-	"sync"
-)
+import "math/bits"
 
 // Block-table geometry. A directory entry covers a 4096-block region; a
-// region node holds 16 page ids, a page 256 presence bits and 16 leaf
-// ids, and a leaf the slots of 16 blocks.
+// region node holds 16 page ids, a page 256 blocks, and a Table's leaf
+// the slots of 16 blocks. Node slabs grow in chunks of 64 nodes.
 const (
 	leafShift   = 4
 	leafBlocks  = 1 << leafShift
@@ -18,86 +14,157 @@ const (
 	pageLeaves  = 1 << (pageShift - leafShift)
 	regionShift = 12
 	regionPages = 1 << (regionShift - pageShift)
+	chunkShift  = 6
 )
 
-// tableRegion maps a region's pages to page ids (slab index + 1; 0 marks
-// an absent page). A free region links to the next through entry 0.
-type tableRegion [regionPages]int32
-
-// tablePage says which of its 256 blocks hold a value and maps its
-// 16-block leaves to leaf ids. A free page links through leaf[0].
-type tablePage struct {
-	present [pageWords]uint64
-	leaf    [pageLeaves]int32
+// chunked is a slab of nodes addressed by id (1-based; 0 means none)
+// that grows one 64-node chunk at a time. Nothing is copied as it
+// grows, so a pointer from at stays valid across later adds, and its
+// memory tracks the nodes in use instead of a doubling slab's next
+// power of two. Released ids wait on a free stack that add serves
+// first, so steady churn allocates nothing.
+type chunked[T any] struct {
+	chunks []*[1 << chunkShift]T
+	n      int32 // ids handed out from the chunks so far
+	free   []int32
 }
 
-// tableLeaf holds the values of 16 consecutive blocks. A free leaf
-// links through slot 0.
-type tableLeaf [leafBlocks]int32
+func (c *chunked[T]) at(id int32) *T {
+	id--
+	return &c.chunks[id>>chunkShift][id&(1<<chunkShift-1)]
+}
 
-// Table maps non-negative block addresses to int32 values. It is
-// direct-addressed and page-sparse: a directory indexed by region leads
-// to a region node, a 256-block page and a 16-block leaf, each in its
-// own slab. A node goes to its slab's free list when the last value
-// under it clears, so memory follows the resident clusters, not the
-// address range they span; the small nodes keep an isolated cluster of
-// a few blocks at about 250 bytes. Lookups are array indexings and a
-// bit test with no hashing, and presence and runs are answered from the
-// page's bit words without touching a leaf.
-//
-// The BlockStore's block -> node index and the host buffer cache's
-// index are Tables. A Table is single-goroutine; NewTable and
-// (*Table).Release recycle them across replay cells.
-type Table struct {
+// add returns the id of a zeroed node, a released one if there is one.
+func (c *chunked[T]) add() int32 {
+	var id int32
+	if k := len(c.free) - 1; k >= 0 {
+		id, c.free = c.free[k], c.free[:k]
+	} else {
+		if int(c.n)>>chunkShift == len(c.chunks) {
+			c.chunks = append(c.chunks, new([1 << chunkShift]T))
+		}
+		c.n++
+		id = c.n
+	}
+	var zero T
+	*c.at(id) = zero
+	return id
+}
+
+// release hands id back for reuse.
+func (c *chunked[T]) release(id int32) { c.free = append(c.free, id) }
+
+// reset releases every node at once, keeping the chunks.
+func (c *chunked[T]) reset() { c.n, c.free = 0, c.free[:0] }
+
+// region maps a region's pages to page ids.
+type region [regionPages]int32
+
+// directory is the page-sparse core of the block tables: a directory
+// indexed by region leads to a region node of 16 page ids, and each id
+// to a page of type P, every node in its own chunked slab. A page goes
+// back to its slab when its owner empties it, and the region node with
+// it once the node holds no page, so memory follows the resident
+// clusters, not the address range they span. Lookups are array
+// indexings with no hashing.
+type directory[P any] struct {
 	dir     []int32 // region -> region id; 0 = absent
-	regions []tableRegion
-	pages   []tablePage
-	leaves  []tableLeaf
-	// Free-list heads, as ids; 0 = empty.
-	freeRegion, freePage, freeLeaf int32
-	n                              int
+	regions chunked[region]
+	pages   chunked[P]
 }
-
-var tablePool = sync.Pool{New: func() any { return new(Table) }}
-
-// NewTable returns an empty table, recycled when one is available.
-func NewTable() *Table { return tablePool.Get().(*Table) }
-
-// Release clears the table and returns it for reuse. It must not be
-// used afterwards.
-func (t *Table) Release() {
-	t.Clear()
-	tablePool.Put(t)
-}
-
-// Clear removes every entry, keeping the storage.
-func (t *Table) Clear() {
-	clear(t.dir)
-	t.dir = t.dir[:0]
-	t.regions, t.pages, t.leaves = t.regions[:0], t.pages[:0], t.leaves[:0]
-	t.freeRegion, t.freePage, t.freeLeaf, t.n = 0, 0, 0, 0
-}
-
-// Len reports the number of entries.
-func (t *Table) Len() int { return t.n }
 
 // page returns the page holding block b, or nil.
-func (t *Table) page(b int64) *tablePage {
+func (d *directory[P]) page(b int64) *P {
 	r := uint64(b) >> regionShift
-	if r >= uint64(len(t.dir)) || t.dir[r] == 0 {
+	if r >= uint64(len(d.dir)) || d.dir[r] == 0 {
 		return nil
 	}
-	pid := t.regions[t.dir[r]-1][b>>pageShift&(regionPages-1)]
+	pid := d.regions.at(d.dir[r])[b>>pageShift&(regionPages-1)]
 	if pid == 0 {
 		return nil
 	}
-	return &t.pages[pid-1]
+	return d.pages.at(pid)
+}
+
+// pageFor returns the page holding block b, creating it and its region
+// node as needed.
+func (d *directory[P]) pageFor(b int64) *P {
+	r := int(uint64(b) >> regionShift)
+	if r >= len(d.dir) {
+		d.dir = append(d.dir, make([]int32, r+1-len(d.dir))...)
+	}
+	if d.dir[r] == 0 {
+		d.dir[r] = d.regions.add()
+	}
+	reg := d.regions.at(d.dir[r])
+	k := b >> pageShift & (regionPages - 1)
+	if reg[k] == 0 {
+		reg[k] = d.pages.add()
+	}
+	return d.pages.at(reg[k])
+}
+
+// drop frees the page holding block b, then its region node if that
+// leaves the node empty. The owner calls it once the page is empty.
+func (d *directory[P]) drop(b int64) {
+	r := uint64(b) >> regionShift
+	reg := d.regions.at(d.dir[r])
+	k := b >> pageShift & (regionPages - 1)
+	d.pages.release(reg[k])
+	reg[k] = 0
+	if *reg == (region{}) {
+		d.regions.release(d.dir[r])
+		d.dir[r] = 0
+	}
+}
+
+// reset empties the directory, keeping its storage.
+func (d *directory[P]) reset() {
+	d.dir = d.dir[:0]
+	d.regions.reset()
+	d.pages.reset()
 }
 
 // bit locates block b in its page: the presence word and bit offset.
 func bit(b int64) (w, off uint) {
 	return uint(b>>6) & (pageWords - 1), uint(b) & 63
 }
+
+// tablePage says which of its 256 blocks hold a value and maps its
+// 16-block leaves to leaf ids.
+type tablePage struct {
+	present [pageWords]uint64
+	leaf    [pageLeaves]int32
+}
+
+// tableLeaf holds the values of 16 consecutive blocks.
+type tableLeaf [leafBlocks]int32
+
+// Table maps non-negative block addresses to int32 values. It is
+// direct-addressed and page-sparse: the shared directory leads to a
+// 256-block page, and the page to 16-block leaves in a slab of their
+// own. A leaf goes back to its slab when the last value under it
+// clears, and the page after it, so the small nodes keep an isolated
+// cluster of a few blocks at about 250 bytes. Presence and runs are
+// answered from the page's bit words without touching a leaf.
+//
+// The recency list's block -> node index (LRU) is a Table. The zero
+// Table is empty and ready to use; a Table is single-goroutine.
+type Table struct {
+	directory[tablePage]
+	leaves chunked[tableLeaf]
+	n      int
+}
+
+// Clear removes every entry, keeping the storage.
+func (t *Table) Clear() {
+	t.reset()
+	t.leaves.reset()
+	t.n = 0
+}
+
+// Len reports the number of entries.
+func (t *Table) Len() int { return t.n }
 
 // Contains reports whether b has a value.
 func (t *Table) Contains(b int64) bool {
@@ -118,37 +185,28 @@ func (t *Table) Get(b int64) (int32, bool) {
 	if w, off := bit(b); p.present[w]>>off&1 == 0 {
 		return 0, false
 	}
-	return t.leaves[p.leaf[b>>leafShift&(pageLeaves-1)]-1][b&(leafBlocks-1)], true
+	return t.leaves.at(p.leaf[b>>leafShift&(pageLeaves-1)])[b&(leafBlocks-1)], true
 }
 
-// Put stores v under b, replacing any previous value.
-func (t *Table) Put(b int64, v int32) {
-	r := int(uint64(b) >> regionShift)
-	if r >= len(t.dir) {
-		t.dir = append(t.dir, make([]int32, r+1-len(t.dir))...)
-	}
-	if t.dir[r] == 0 {
-		t.dir[r] = t.newRegion()
-	}
-	reg := &t.regions[t.dir[r]-1]
-	k := b >> pageShift & (regionPages - 1)
-	if reg[k] == 0 {
-		reg[k] = t.newPage() // grows only the page slab: reg stays valid
-	}
-	p := &t.pages[reg[k]-1]
+// slot returns b's value slot and whether b had a value, first adding
+// b with value 0 if it had none.
+func (t *Table) slot(b int64) (*int32, bool) {
+	p := t.pageFor(b)
 	j := b >> leafShift & (pageLeaves - 1)
 	if p.leaf[j] == 0 {
-		p.leaf[j] = t.newLeaf() // grows only the leaf slab: p stays valid
+		p.leaf[j] = t.leaves.add() // chunks never move: p stays valid
 	}
-	if w, off := bit(b); p.present[w]>>off&1 == 0 {
+	w, off := bit(b)
+	had := p.present[w]>>off&1 != 0
+	if !had {
 		p.present[w] |= 1 << off
 		t.n++
 	}
-	t.leaves[p.leaf[j]-1][b&(leafBlocks-1)] = v
+	return &t.leaves.at(p.leaf[j])[b&(leafBlocks-1)], had
 }
 
-// Delete removes b and reports whether it was present. A leaf, page or
-// region left empty goes back to its free list.
+// Delete removes b and reports whether it was present. A leaf left
+// empty goes back to its slab, and then an empty page and region node.
 func (t *Table) Delete(b int64) bool {
 	p := t.page(b)
 	w, off := bit(b)
@@ -162,19 +220,10 @@ func (t *Table) Delete(b int64) bool {
 		return true
 	}
 	j := b >> leafShift & (pageLeaves - 1)
-	t.leaves[p.leaf[j]-1][0], t.freeLeaf = t.freeLeaf, p.leaf[j]
+	t.leaves.release(p.leaf[j])
 	p.leaf[j] = 0
-	if p.present != [pageWords]uint64{} {
-		return true
-	}
-	r := uint64(b) >> regionShift
-	reg := &t.regions[t.dir[r]-1]
-	k := b >> pageShift & (regionPages - 1)
-	p.leaf[0], t.freePage = t.freePage, reg[k]
-	reg[k] = 0
-	if *reg == (tableRegion{}) {
-		reg[0], t.freeRegion = t.freeRegion, t.dir[r]
-		t.dir[r] = 0
+	if p.present == [pageWords]uint64{} {
+		t.drop(b)
 	}
 	return true
 }
@@ -196,55 +245,4 @@ func (t *Table) Run(b int64, n int) int {
 		}
 	}
 	return min(k, n)
-}
-
-// newRegion takes a region node from the free list or the slab.
-func (t *Table) newRegion() int32 {
-	if id := t.freeRegion; id != 0 {
-		reg := &t.regions[id-1]
-		t.freeRegion, reg[0] = reg[0], 0
-		return id
-	}
-	t.regions = grow(t.regions)
-	return int32(len(t.regions))
-}
-
-// newPage takes a page from the free list or the slab.
-func (t *Table) newPage() int32 {
-	if id := t.freePage; id != 0 {
-		p := &t.pages[id-1]
-		t.freePage, p.leaf[0] = p.leaf[0], 0
-		return id
-	}
-	t.pages = grow(t.pages)
-	return int32(len(t.pages))
-}
-
-// newLeaf takes a leaf from the free list or the slab.
-func (t *Table) newLeaf() int32 {
-	if id := t.freeLeaf; id != 0 {
-		t.freeLeaf = t.leaves[id-1][0]
-		return id
-	}
-	t.leaves = grow(t.leaves)
-	return int32(len(t.leaves))
-}
-
-// reserve makes room for n nodes of each kind, so a table whose size
-// its owner can foresee is built without growing its slabs.
-func (t *Table) reserve(n int) {
-	t.regions = slices.Grow(t.regions, n-len(t.regions))
-	t.pages = slices.Grow(t.pages, n-len(t.pages))
-	t.leaves = slices.Grow(t.leaves, n-len(t.leaves))
-}
-
-// grow appends a zero node to a slab. A full slab doubles, starting
-// at 32 nodes, so a table reaches its working size in a few
-// allocations.
-func grow[T any](s []T) []T {
-	if len(s) == cap(s) {
-		s = slices.Grow(s, max(len(s), 32))
-	}
-	var zero T
-	return append(s, zero)
 }

@@ -301,15 +301,6 @@ func New(s *sim.Simulator, b *bus.Bus, id int, cfg Config) (*Disk, error) {
 // Stats returns a copy of the drive's counters.
 func (d *Disk) Stats() Stats { return d.stats }
 
-// Release returns the drive's pooled cache-index storage for reuse by
-// the next replay cell. Call once the replay has drained; the drive
-// must not be used afterwards.
-func (d *Disk) Release() {
-	d.store.Release()
-	d.store = nil
-	d.hdc = nil
-}
-
 // Store exposes the replaceable store for inspection in tests.
 func (d *Disk) Store() cache.Store { return d.store }
 

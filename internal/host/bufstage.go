@@ -81,15 +81,5 @@ func (h *Host) flushDirty(done sim.Event) {
 }
 
 // BufferCache returns the buffer-cache stage's cache, or nil when the
-// stage is off. Its counters are valid until Release.
+// stage is off.
 func (h *Host) BufferCache() *bufcache.Cache { return h.buf }
-
-// Release returns the buffer cache's storage to its pool for the next
-// replay. Legal only after the replay has drained; the host must not be
-// used after.
-func (h *Host) Release() {
-	if h.buf != nil {
-		h.buf.Release()
-		h.buf = nil
-	}
-}

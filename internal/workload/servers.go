@@ -109,7 +109,6 @@ func (f *filter) close() (diskLevel, serverLevel *trace.Trace) {
 	for _, b := range f.cache.FlushDirty() {
 		f.emitWriteback(b)
 	}
-	f.cache.Release() // hand the index storage to the next synthesis
 	f.cache = nil
 	return trace.CoalesceAdjacent(&trace.Trace{Records: f.records}),
 		&trace.Trace{Records: f.server}

@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race allocs bench-long bench-smoke fuzz profile results serve-smoke fleet-smoke crash-smoke metrics-lint
+.PHONY: check fmt vet build test race allocs bench-long bench-smoke fuzz profile results serve-smoke fleet-smoke crash-smoke fleet-crash-smoke metrics-lint
 
-check: fmt vet build race allocs fuzz metrics-lint serve-smoke fleet-smoke crash-smoke bench-long bench-smoke
+check: fmt vet build race allocs fuzz metrics-lint serve-smoke fleet-smoke crash-smoke fleet-crash-smoke bench-long bench-smoke
 
 # The tree stays gofmt-clean: fail listing any file gofmt would change.
 fmt:
@@ -138,6 +138,14 @@ crash-smoke:
 	replayed=$$($$tmp/diskthru-client -addr "http://$$(cat $$tmp/a2)" metrics \
 		| awk '$$1 == "serve_cells_replayed_total" {print $$2}'); \
 	echo "crash-smoke: OK (byte-identical after SIGKILL; $$replayed cells replayed from journal)"
+
+# Coordinator crash-resume check with real processes: one diskthrud and
+# a journaling diskthru-fleet sweep of fig7 -quick at -window 1; the
+# coordinator is SIGKILLed once two cell payloads are journaled, rerun
+# with -resume, and its output diffed against `diskthru -j 1`. A sweep
+# that finishes before the kill fails the check.
+fleet-crash-smoke:
+	$(GO) test ./cmd/diskthru-fleet -run '^TestCoordinatorCrashResume$$' -count 1
 
 # Scrape a live test daemon's /metrics through HTTP and validate every
 # family with the exposition parser and linter (naming conventions,

@@ -9,12 +9,15 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"diskthru/internal/experiments"
 	"diskthru/internal/fleet"
+	"diskthru/internal/journal"
 	"diskthru/internal/metrics"
 )
 
@@ -30,12 +33,7 @@ type procDaemon struct {
 func startDaemons(t *testing.T, n int) []*procDaemon {
 	t.Helper()
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "diskthrud")
-	build := exec.Command("go", "build", "-o", bin, "../diskthrud")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("building diskthrud: %v", err)
-	}
+	bin := buildBinary(t, dir, "../diskthrud", "diskthrud")
 	daemons := make([]*procDaemon, n)
 	for i := range daemons {
 		addrFile := filepath.Join(dir, fmt.Sprintf("addr%d", i))
@@ -198,5 +196,117 @@ func TestFleetSurvivesDaemonKill(t *testing.T) {
 		// poll just before SIGKILL landed; byte-identity above is the
 		// hard guarantee, so only note it.
 		t.Log("kill landed after the victim's last result; no requeue observed")
+	}
+}
+
+// buildBinary compiles the command package at pkg into dir.
+func buildBinary(t *testing.T, dir, pkg, name string) string {
+	t.Helper()
+	bin := filepath.Join(dir, name)
+	build := exec.Command("go", "build", "-o", bin, pkg)
+	build.Stderr = os.Stderr
+	if err := build.Run(); err != nil {
+		t.Fatalf("building %s: %v", name, err)
+	}
+	return bin
+}
+
+// journaledCells counts the cell records in a coordinator journal that
+// another process is still appending to. It replays a copy at cp, so
+// the live file is never truncated; a torn tail in the copy is dropped.
+func journaledCells(t *testing.T, path, cp string) int {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return 0
+	}
+	if err := os.WriteFile(cp, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cells := 0
+	w, _, err := journal.Open(cp, func(p []byte) error {
+		var rec struct {
+			Type string `json:"type"`
+		}
+		if json.Unmarshal(p, &rec) == nil && rec.Type == "cell" {
+			cells++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close() //nolint:errcheck
+	return cells
+}
+
+// TestCoordinatorCrashResume is the coordinator's crash check against
+// real processes: a journaling diskthru-fleet sweep of fig7 is
+// SIGKILLed once two cell payloads are journaled, rerun with -resume,
+// and its output must be byte-identical to `diskthru -experiment fig7
+// -quick -j 1`. A sweep that finishes before the kill fails the test.
+func TestCoordinatorCrashResume(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs real daemon and coordinator processes")
+	}
+	d := startDaemons(t, 1)[0]
+	dir := t.TempDir()
+	fleetBin := buildBinary(t, dir, ".", "diskthru-fleet")
+	cliBin := buildBinary(t, dir, "../diskthru", "diskthru")
+	want, err := exec.Command(cliBin, "-experiment", "fig7", "-quick", "-j", "1").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	state := filepath.Join(dir, "state")
+	args := []string{"-daemons", d.base, "-experiment", "fig7", "-quick",
+		"-window", "1", "-state-dir", state}
+	var firstLog bytes.Buffer
+	first := exec.Command(fleetBin, args...)
+	first.Stderr = &firstLog
+	if err := first.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- first.Wait() }()
+	t.Cleanup(func() { first.Process.Kill() }) //nolint:errcheck
+	for deadline := time.Now().Add(time.Minute); ; {
+		select {
+		case err := <-exited:
+			t.Fatalf("sweep finished before the kill (err=%v); stderr:\n%s", err, firstLog.String())
+		default:
+		}
+		if n := journaledCells(t, filepath.Join(state, "fleet.journal"), filepath.Join(dir, "copy.journal")); n >= 2 {
+			if err := first.Process.Kill(); err != nil {
+				t.Fatalf("killing the coordinator: %v", err)
+			}
+			if err := <-exited; err == nil {
+				t.Fatalf("sweep finished before the kill; stderr:\n%s", firstLog.String())
+			}
+			t.Logf("killed the coordinator with %d cells journaled", n)
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("journal never held two cells; stderr:\n%s", firstLog.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	var secondLog bytes.Buffer
+	second := exec.Command(fleetBin, append(args, "-resume")...)
+	second.Stderr = &secondLog
+	got, err := second.Output()
+	if err != nil {
+		t.Fatalf("resumed sweep: %v; stderr:\n%s", err, secondLog.String())
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("resumed output differs from single-node run:\n--- single ---\n%s--- resumed ---\n%s", want, got)
+	}
+	m := regexp.MustCompile(`"sweep done".*\bresumed=(\d+)`).FindStringSubmatch(secondLog.String())
+	if m == nil {
+		t.Fatalf("resumed sweep logged no summary; stderr:\n%s", secondLog.String())
+	}
+	if n, _ := strconv.Atoi(m[1]); n < 2 {
+		t.Errorf("resumed sweep injected %d journaled cells, want at least 2", n)
 	}
 }

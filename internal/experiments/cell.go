@@ -48,8 +48,58 @@ func (id CellID) String() string { return fmt.Sprintf("c%d", id.Index) }
 // and writes it into the cell's result slot; it is nil for cells that
 // are pure local computations with no transportable result — those must
 // be executed via run. Exactly one of run or inject must succeed before
-// CellExec returns nil.
+// CellExec returns nil; the runner fails the cell otherwise.
 type CellExec func(id CellID, run func() ([]byte, error), inject func(payload []byte) error) error
+
+// LocalExec is the CellExec that runs every cell on the calling
+// goroutine.
+func LocalExec(_ CellID, run func() ([]byte, error), _ func([]byte) error) error {
+	_, err := run()
+	return err
+}
+
+// Checkpointed wraps exec with a checkpoint: the payloads an earlier
+// run of the same (experiment, Options) journaled, plus a sink. A cell
+// whose journaled payload still decodes into its slot is injected and
+// exec never sees it; every other cell goes to exec. sink receives each
+// payload that fills a slot, with replayed true when it came from the
+// checkpoint, so a caller journals fresh payloads and counts replays.
+// A fresh payload for a cell the checkpoint holds means the journaled
+// one no longer decodes (version skew): the cell was recomputed rather
+// than failed. Bare cells carry no payload and never reach sink.
+func Checkpointed(exec CellExec, journaled map[CellID][]byte, sink func(id CellID, payload []byte, replayed bool)) CellExec {
+	return func(id CellID, run func() ([]byte, error), inject func([]byte) error) error {
+		if p, ok := journaled[id]; ok && inject != nil && inject(p) == nil {
+			sink(id, p, true)
+			return nil
+		}
+		var filled []byte
+		fresh := func() ([]byte, error) {
+			p, err := run()
+			if err == nil {
+				filled = p
+			}
+			return p, err
+		}
+		var accept func([]byte) error
+		if inject != nil {
+			accept = func(p []byte) error {
+				if err := inject(p); err != nil {
+					return err
+				}
+				filled = p
+				return nil
+			}
+		}
+		if err := exec(id, fresh, accept); err != nil {
+			return err
+		}
+		if filled != nil {
+			sink(id, filled, false)
+		}
+		return nil
+	}
+}
 
 // cellSession carries per-invocation cell state into the runner a
 // driver creates. exec routes cells; with target set (RunCellExec)
@@ -146,10 +196,7 @@ func decodeSlot(payload []byte, slot any) error {
 // callback of a RunWithCellExec dispatch of the same (name, o, id) to
 // reproduce a local run bit for bit.
 func RunCell(name string, o Options, id CellID) ([]byte, error) {
-	return RunCellExec(name, o, id, func(_ CellID, run func() ([]byte, error), _ func([]byte) error) error {
-		_, err := run()
-		return err
-	})
+	return RunCellExec(name, o, id, LocalExec)
 }
 
 // RunCellExec is RunCell with the target cell routed through exec, so a

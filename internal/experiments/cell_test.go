@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -146,12 +147,84 @@ func TestCellSessionRejectsSecondWait(t *testing.T) {
 		t.Fatalf("plain run: %v", err)
 	}
 	o := tiny()
-	o.cells = &cellSession{exec: func(_ CellID, run func() ([]byte, error), _ func([]byte) error) error {
-		_, err := run()
-		return err
-	}}
+	o.cells = &cellSession{exec: LocalExec}
 	if _, err := twoWaits(o); !errors.Is(err, errWaitTwice) {
 		t.Fatalf("second wait under a cell session: err = %v, want errWaitTwice", err)
+	}
+}
+
+// TestCellExecContractEnforced: an exec that returns nil without running
+// or injecting its cell would leave a zero slot in the table, so the
+// runner refuses it and names the cell.
+func TestCellExecContractEnforced(t *testing.T) {
+	noop := func(CellID, func() ([]byte, error), func([]byte) error) error { return nil }
+	o := Quick()
+	o.Parallelism = 1
+	if _, err := RunWithCellExec("faults", o, noop); err == nil || !strings.Contains(err.Error(), "cell c0") {
+		t.Errorf("RunWithCellExec with a no-op exec: err = %v, want one naming cell c0", err)
+	}
+	if _, err := RunCellExec("faults", o, CellID{Index: 2}, noop); err == nil || !strings.Contains(err.Error(), "cell c2") {
+		t.Errorf("RunCellExec with a no-op exec: err = %v, want one naming cell c2", err)
+	}
+}
+
+// TestCheckpointed: a checkpoint journals every payload of a first run;
+// resuming from it injects every cell without reaching exec except one
+// whose journaled payload no longer decodes, which is recomputed and
+// handed to the sink as fresh. Both tables match a plain run.
+func TestCheckpointed(t *testing.T) {
+	o := Quick()
+	o.Parallelism = 1
+	want, err := Run("faults", o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journaled := map[CellID][]byte{}
+	record := func(id CellID, payload []byte, replayed bool) {
+		if replayed {
+			t.Errorf("cell %v replayed from an empty checkpoint", id)
+		}
+		journaled[id] = payload
+	}
+	got, err := RunWithCellExec("faults", o, Checkpointed(LocalExec, nil, record))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("journaling run diverged:\n--- local ---\n%s--- journaling ---\n%s", want, got)
+	}
+
+	stale := CellID{Index: 1}
+	bad := append([]byte{tagLiveResult}, journaled[stale][1:]...)
+	if journaled[stale][0] == tagLiveResult {
+		bad[0] = tagResult
+	}
+	journaled[stale] = bad
+	var replayed int
+	var fresh []CellID
+	sink := func(id CellID, _ []byte, fromCheckpoint bool) {
+		if fromCheckpoint {
+			replayed++
+		} else {
+			fresh = append(fresh, id)
+		}
+	}
+	exec := func(id CellID, run func() ([]byte, error), inject func([]byte) error) error {
+		if id != stale {
+			return fmt.Errorf("journaled cell %v reached exec", id)
+		}
+		return LocalExec(id, run, inject)
+	}
+	got, err = RunWithCellExec("faults", o, Checkpointed(exec, journaled, sink))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("resumed run diverged:\n--- local ---\n%s--- resumed ---\n%s", want, got)
+	}
+	if replayed != len(journaled)-1 || len(fresh) != 1 || fresh[0] != stale {
+		t.Errorf("replayed %d cells and recomputed %v; want %d replayed and only %v recomputed",
+			replayed, fresh, len(journaled)-1, stale)
 	}
 }
 

@@ -200,22 +200,28 @@ func (r *runner) cell(i int) error {
 // route passes cell i through the session's CellExec and returns its
 // encoded slot: the payload run produced or the one inject accepted,
 // nil for bare cells. Bare cells get no inject callback, so they always
-// run locally.
+// run locally. An exec that returns nil without either callback having
+// succeeded broke the CellExec contract and would leave a zero slot in
+// the table, so route refuses it.
 func (r *runner) route(i int) ([]byte, error) {
 	if err := r.ctx.Err(); err != nil {
 		return nil, err
 	}
 	e := r.cells[i]
-	var payload []byte
+	var (
+		payload []byte
+		filled  bool
+	)
 	run := func() ([]byte, error) {
 		if err := e.fn(); err != nil {
 			return nil, err
 		}
 		if e.slot == nil {
+			filled = true
 			return nil, nil
 		}
 		p, err := encodeSlot(e.slot)
-		payload = p
+		payload, filled = p, err == nil
 		return p, err
 	}
 	var inject func([]byte) error
@@ -224,12 +230,16 @@ func (r *runner) route(i int) ([]byte, error) {
 			if err := decodeSlot(p, e.slot); err != nil {
 				return err
 			}
-			payload = p
+			payload, filled = p, true
 			return nil
 		}
 	}
-	if err := r.sess.exec(CellID{Index: i}, run, inject); err != nil {
+	id := CellID{Index: i}
+	if err := r.sess.exec(id, run, inject); err != nil {
 		return nil, err
+	}
+	if !filled {
+		return nil, fmt.Errorf("experiments: CellExec returned nil for cell %v without running or injecting it", id)
 	}
 	r.prog.CellDone()
 	return payload, nil

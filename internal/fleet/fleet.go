@@ -28,11 +28,11 @@
 //     immediately; a draining daemon stops receiving work before its
 //     SIGTERM completes). A cell whose daemon dies or whose job is
 //     cancelled by a drain is requeued to a survivor under capped
-//     exponential backoff with full jitter; results are accepted
-//     at most once per cell, so a late duplicate from a daemon that
-//     was presumed dead is discarded, never double-injected. With zero
-//     healthy daemons the coordinator degrades to executing cells
-//     locally rather than failing the sweep (disable with
+//     exponential backoff with full jitter. A cell's attempts run one
+//     after another, and each abandoned attempt is cancelled before the
+//     next starts, so at most one result per cell is ever injected.
+//     With zero healthy daemons the coordinator degrades to executing
+//     cells locally rather than failing the sweep (disable with
 //     Config.DisableLocalFallback).
 //
 // Observability follows internal/serve: counters and per-daemon gauges
@@ -55,6 +55,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"diskthru/internal/experiments"
@@ -89,7 +90,7 @@ type Config struct {
 	CellTimeout time.Duration
 	// Backoff shapes the retry delays (zero value = 100ms..5s, jittered).
 	Backoff Backoff
-	// StateDir, when set, journals every accepted cell payload to an
+	// StateDir, when set, journals every completed cell payload to an
 	// fsync'd log under this directory so a killed coordinator can
 	// resume a sweep. Each Run starts a fresh journal unless Resume is
 	// set.
@@ -175,8 +176,8 @@ func (d *daemon) snapshot() (up, draining bool, inflight int) {
 
 // Coordinator dispatches experiment cells across a daemon fleet. Create
 // with New; one Coordinator runs one sweep at a time (Run is not
-// reentrant because per-sweep state — accepted cells, the current spec
-// — lives on the struct).
+// reentrant because per-sweep state — the current spec and journal —
+// lives on the struct).
 type Coordinator struct {
 	cfg     Config
 	daemons []*daemon
@@ -184,17 +185,14 @@ type Coordinator struct {
 	log     *slog.Logger
 	reg     *metrics.Registry
 
-	dispatched *metrics.CounterVec // accepted submissions, by daemon
+	dispatched *metrics.CounterVec // admitted submissions, by daemon
 	stolen     *metrics.Counter
 	requeued   *metrics.Counter
 	completed  *metrics.Counter
 	local      *metrics.Counter
-	duplicates *metrics.Counter
 	resumedC   *metrics.Counter
 
-	mu       sync.Mutex
-	accepted map[experiments.CellID]bool
-	seq      int // round-robin cursor for home-daemon scan starts
+	seq atomic.Uint64 // round-robin cursor for steal-scan starts
 
 	// Per-sweep fields, set by Run.
 	runMu      sync.Mutex
@@ -202,9 +200,9 @@ type Coordinator struct {
 	opts       experiments.Options
 	// jnl and resumed implement crash-safe sweeps (Config.StateDir):
 	// resumed holds the payloads reloaded from the journal, keyed by
-	// cell; jnl receives every newly accepted payload. Both are
-	// replaced at the start of each Run and resumed is read-only during
-	// the sweep.
+	// cell — the sweep's checkpoint; jnl receives every fresh payload.
+	// Both are replaced at the start of each Run and resumed is
+	// read-only during the sweep.
 	jnl     *journal.Writer
 	resumed map[experiments.CellID][]byte
 	// nonce makes this Run's idempotency keys distinct from any earlier
@@ -247,11 +245,10 @@ func New(cfg Config) (*Coordinator, error) {
 		reg = metrics.NewRegistry()
 	}
 	c := &Coordinator{
-		cfg:      cfg,
-		client:   client,
-		log:      logger,
-		reg:      reg,
-		accepted: make(map[experiments.CellID]bool),
+		cfg:    cfg,
+		client: client,
+		log:    logger,
+		reg:    reg,
 	}
 	seen := make(map[string]bool)
 	for _, ep := range cfg.Endpoints {
@@ -274,17 +271,15 @@ func (c *Coordinator) Registry() *metrics.Registry { return c.reg }
 
 func (c *Coordinator) initMetrics() {
 	c.dispatched = c.reg.NewCounterVec("fleet_cells_dispatched_total",
-		"Cell jobs accepted by a daemon (one per 202, retries included).", "daemon")
+		"Cell jobs admitted by a daemon (one per 202, retries included).", "daemon")
 	c.stolen = c.reg.NewCounter("fleet_cells_stolen_total",
 		"Cells executed by a daemon other than their deterministic home.")
 	c.requeued = c.reg.NewCounter("fleet_cells_requeued_total",
 		"Cell dispatches abandoned (daemon death, drain, backpressure, job cancellation) and retried elsewhere.")
 	c.completed = c.reg.NewCounter("fleet_cells_completed_total",
-		"Cells whose result was accepted and injected into the sweep.")
+		"Cells whose remote result was injected into the sweep.")
 	c.local = c.reg.NewCounter("fleet_cells_local_total",
 		"Cells executed on the coordinator: non-remotable cells plus remote-attempt exhaustion fallbacks.")
-	c.duplicates = c.reg.NewCounter("fleet_results_duplicate_total",
-		"Remote results discarded by at-most-once acceptance.")
 	c.resumedC = c.reg.NewCounter("fleet_cells_resumed_total",
 		"Cells injected from the coordinator's journal instead of dispatched (crash-resume path).")
 	for _, d := range c.daemons {
@@ -337,9 +332,6 @@ func (c *Coordinator) Run(ctx context.Context, experiment string, o experiments.
 	c.experiment = experiment
 	c.opts = o
 	c.nonce = fmt.Sprintf("%d", time.Now().UnixNano())
-	c.mu.Lock()
-	c.accepted = make(map[experiments.CellID]bool)
-	c.mu.Unlock()
 	c.resumed = nil
 	c.jnl = nil
 	if c.cfg.StateDir != "" {
@@ -364,7 +356,8 @@ func (c *Coordinator) Run(ctx context.Context, experiment string, o experiments.
 	defer cancel()
 	c.log.Info("sweep starting", "experiment", experiment,
 		"daemons", len(c.daemons), "window", c.cfg.Window, "parallelism", o.Parallelism)
-	t, err := experiments.RunWithCellExec(experiment, o, c.execCell)
+	t, err := experiments.RunWithCellExec(experiment, o,
+		experiments.Checkpointed(c.execCell, c.resumed, c.checkpointed))
 	if err != nil {
 		return nil, err
 	}
@@ -376,7 +369,7 @@ func (c *Coordinator) Run(ctx context.Context, experiment string, o experiments.
 }
 
 // sweepRecord is one entry of the coordinator's journal: a "sweep"
-// header fingerprinting the run, or one accepted "cell" payload.
+// header fingerprinting the run, or one "cell" payload.
 type sweepRecord struct {
 	Type       string `json:"type"`
 	Experiment string `json:"experiment,omitempty"`
@@ -404,9 +397,9 @@ func (c *Coordinator) baseSpec() serve.Spec {
 // sweep's fingerprint header. With Resume the journal is replayed
 // first: a fingerprint mismatch fails the run (merging another sweep's
 // cells would silently corrupt the table), a matching one loads every
-// journaled payload into the resumed set — injected without dispatch —
-// and marks those cells accepted. A torn final record (the coordinator
-// died mid-append) is truncated away by the journal layer.
+// journaled payload into the sweep's checkpoint. A torn final record
+// (the coordinator died mid-append) is truncated away by the journal
+// layer.
 func (c *Coordinator) openSweepJournal() error {
 	if err := os.MkdirAll(c.cfg.StateDir, 0o755); err != nil {
 		return fmt.Errorf("fleet: state dir: %w", err)
@@ -454,11 +447,6 @@ func (c *Coordinator) openSweepJournal() error {
 				c.cfg.StateDir, headerExp, c.experiment)
 		}
 		c.resumed = resumed
-		c.mu.Lock()
-		for id := range resumed {
-			c.accepted[id] = true
-		}
-		c.mu.Unlock()
 		c.log.Info("resuming sweep from journal", "cells_journaled", len(resumed))
 	} else {
 		// Empty journal (fresh run, or resume of a sweep that never got
@@ -476,14 +464,22 @@ func (c *Coordinator) openSweepJournal() error {
 	return nil
 }
 
-// journalCell best-effort appends one accepted payload; losing the
-// journal costs resumability, not this sweep.
-func (c *Coordinator) journalCell(id experiments.CellID, payload []byte) {
+// checkpointed is the sink of the sweep's checkpoint: it counts cells
+// injected from the journal and best-effort journals every fresh
+// payload, remote or local-fallback. Losing the journal costs
+// resumability, not this sweep.
+func (c *Coordinator) checkpointed(id experiments.CellID, payload []byte, replayed bool) {
+	if replayed {
+		c.resumedC.Inc()
+		return
+	}
+	if _, stale := c.resumed[id]; stale {
+		c.log.Warn("journaled cell payload no longer decodes; re-dispatched it", "cell", id.String())
+	}
 	if c.jnl == nil {
 		return
 	}
-	cid := id
-	b, err := json.Marshal(sweepRecord{Type: "cell", Cell: &cid, Payload: payload})
+	b, err := json.Marshal(sweepRecord{Type: "cell", Cell: &id, Payload: payload})
 	if err == nil {
 		err = c.jnl.Append(b)
 	}
@@ -514,13 +510,10 @@ func (c *Coordinator) acquire(ctx context.Context, id experiments.CellID, patien
 		}
 		// Steal scan, rotated so concurrent thieves spread out instead
 		// of piling onto the lowest-numbered survivor.
-		c.mu.Lock()
-		start := c.seq
-		c.seq++
-		c.mu.Unlock()
+		start := c.seq.Add(1) - 1
 		n := len(c.daemons)
 		for i := 0; i < n; i++ {
-			j := (start + i) % n
+			j := int((start + uint64(i)) % uint64(n))
 			if j == homeIdx {
 				continue
 			}
@@ -539,10 +532,11 @@ func (c *Coordinator) acquire(ctx context.Context, id experiments.CellID, patien
 	}
 }
 
-// execCell is the CellExec hook: the dispatch loop for one cell. Bare
-// (non-remotable) cells run locally; remotable cells are dispatched
-// with stealing, backpressure, failover and at-most-once acceptance as
-// described in the package comment.
+// execCell is the dispatch loop for one cell, behind the sweep's
+// checkpoint. Bare (non-remotable) cells run locally; remotable cells
+// are dispatched with stealing, backpressure and failover as described
+// in the package comment. Attempts run one after another and each
+// abandoned one is cancelled first, so only one result is injected.
 func (c *Coordinator) execCell(id experiments.CellID, run func() ([]byte, error), inject func([]byte) error) error {
 	if inject == nil {
 		// Bare computation cells are not remotable and carry no
@@ -551,15 +545,6 @@ func (c *Coordinator) execCell(id experiments.CellID, run func() ([]byte, error)
 		c.local.Inc()
 		_, err := run()
 		return err
-	}
-	if payload, ok := c.resumed[id]; ok {
-		if err := inject(payload); err == nil {
-			c.resumedC.Inc()
-			return nil
-		}
-		// Version skew between journal and binary: recompute rather
-		// than fail the sweep.
-		c.log.Warn("journaled cell payload no longer decodes; re-dispatching", "cell", id.String())
 	}
 	ctx := c.opts.Ctx
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
@@ -578,21 +563,9 @@ func (c *Coordinator) execCell(id experiments.CellID, run func() ([]byte, error)
 		payload, err := c.runCellJob(ctx, d, id, attempt)
 		d.release()
 		if err == nil {
-			c.mu.Lock()
-			dup := c.accepted[id]
-			c.accepted[id] = true
-			c.mu.Unlock()
-			if dup {
-				// A previous attempt's result already merged; this one
-				// must not be injected again.
-				c.duplicates.Inc()
-				c.log.Warn("duplicate cell result discarded", "cell", id.String(), "daemon", d.name)
-				return nil
-			}
 			if err := inject(payload); err != nil {
 				return err // corrupt payload: a bug, not a retry case
 			}
-			c.journalCell(id, payload)
 			c.completed.Inc()
 			return nil
 		}
@@ -620,14 +593,8 @@ func (c *Coordinator) execCell(id experiments.CellID, run func() ([]byte, error)
 	// locally computed payload checkpoints like a remote one.
 	c.local.Inc()
 	c.log.Warn("cell fell back to local execution", "cell", id.String())
-	payload, err := run()
-	if err != nil {
-		return err
-	}
-	if payload != nil {
-		c.journalCell(id, payload)
-	}
-	return nil
+	_, err := run()
+	return err
 }
 
 // permanentError wraps failures retrying cannot fix (bad specs, driver

@@ -230,8 +230,7 @@ func TestFleetMetricsLint(t *testing.T) {
 	for _, name := range []string{
 		"fleet_cells_dispatched_total", "fleet_cells_stolen_total",
 		"fleet_cells_requeued_total", "fleet_cells_completed_total",
-		"fleet_cells_local_total", "fleet_results_duplicate_total",
-		"fleet_cells_resumed_total",
+		"fleet_cells_local_total", "fleet_cells_resumed_total",
 		"fleet_daemon_up", "fleet_daemon_draining", "fleet_daemon_inflight",
 	} {
 		if _, ok := byName[name]; !ok {
@@ -438,6 +437,101 @@ func TestFleetResumePartialJournal(t *testing.T) {
 		t.Error("truncated journal resumed everything; the torn record was not dropped")
 	}
 	t.Logf("partial resume: %v resumed, %v re-dispatched of %v", resumed, redone, total)
+}
+
+// TestFleetResumeStalePayload: a journaled cell whose payload no longer
+// decodes (its slot tag is wrong) is re-dispatched on resume, and the
+// fresh result fills its slot. Every other journaled cell is injected
+// without dispatch.
+func TestFleetResumeStalePayload(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the faults experiment three times")
+	}
+	want, err := experiments.Run("faults", quick1())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	endpoints := bootDaemons(t, 2, nil)
+	c1, err := New(Config{Endpoints: endpoints, Window: 2, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.Run(context.Background(), "faults", experiments.Quick()); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(dir, "fleet.journal")
+	var recs [][]byte
+	w, _, err := journal.Open(path, func(p []byte) error {
+		recs = append(recs, append([]byte(nil), p...))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	cells, corrupted := 0, false
+	for i, raw := range recs {
+		var rec sweepRecord
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Type != "cell" {
+			continue
+		}
+		cells++
+		if corrupted {
+			continue
+		}
+		if rec.Payload[0] == 'R' {
+			rec.Payload[0] = 'L'
+		} else {
+			rec.Payload[0] = 'R'
+		}
+		if recs[i], err = json.Marshal(rec); err != nil {
+			t.Fatal(err)
+		}
+		corrupted = true
+	}
+	if !corrupted {
+		t.Fatal("journal holds no cell records")
+	}
+	w, _, err = journal.Open(path, func([]byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2, err := New(Config{Endpoints: endpoints, Window: 2, StateDir: dir, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c2.Run(context.Background(), "faults", experiments.Quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("resume over a stale payload diverged:\n--- single ---\n%s--- resumed ---\n%s", want, got)
+	}
+	if v := c2.resumedC.Value(); v != float64(cells-1) {
+		t.Errorf("resumed %v cells, want %d (every journaled cell but the stale one)", v, cells-1)
+	}
+	if v := c2.completed.Value(); v != 1 {
+		t.Errorf("re-dispatched %v cells, want only the stale one", v)
+	}
 }
 
 // TestFleetResumeRefusesForeignSpec: a journal whose header spec carries

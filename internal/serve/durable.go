@@ -226,65 +226,34 @@ func specFieldsKnown(rec []byte) bool {
 	return err == nil
 }
 
-// Checkpoint is the runner's window into the journal: lookup returns a
-// previously journaled cell payload (the checkpoint a recovered job
-// resumes from), record journals a freshly computed one. A nil
-// *Checkpoint is valid and inert, so runners need no journal-enabled
-// branch at every call site.
+// Checkpoint is the runner's window into the journal: the cell payloads
+// this job journaled before a crash, and the sink that journals each
+// fresh one. A nil *Checkpoint is valid and inert, so runners need no
+// journal-enabled branch at every call site.
 type Checkpoint struct {
 	s    *Server
 	j    *job
 	have map[experiments.CellID][]byte
 }
 
-// lookup returns the journaled payload for id, if any.
-func (ck *Checkpoint) lookup(id experiments.CellID) ([]byte, bool) {
-	if ck == nil || ck.have == nil {
-		return nil, false
-	}
-	p, ok := ck.have[id]
-	return p, ok
-}
-
-// replayed counts cells restored from the journal instead of re-run.
-func (ck *Checkpoint) replayed() {
-	if ck != nil {
-		ck.s.cellsReplayed.Add(1)
-	}
-}
-
-// recordCell journals one completed cell's payload. Best-effort: a dead
-// journal costs future resumability, not this job.
-func (ck *Checkpoint) recordCell(id experiments.CellID, payload []byte) {
+// wrap puts the job's checkpoint in front of exec
+// (experiments.Checkpointed); a nil Checkpoint returns exec unchanged.
+func (ck *Checkpoint) wrap(exec experiments.CellExec) experiments.CellExec {
 	if ck == nil {
+		return exec
+	}
+	return experiments.Checkpointed(exec, ck.have, ck.sink)
+}
+
+// sink counts replayed cells and journals fresh ones. Journaling is
+// best-effort: a dead journal costs future resumability, not this job.
+func (ck *Checkpoint) sink(id experiments.CellID, payload []byte, replayed bool) {
+	if replayed {
+		ck.s.cellsReplayed.Add(1)
 		return
 	}
-	cid := id
-	_ = ck.s.appendRecord(record{Type: "cell", Job: ck.j.id, Cell: &cid, Payload: payload})
-}
-
-// exec is the experiments.CellExec a checkpointing runner dispatches
-// through: journaled cells are injected (and counted as replayed),
-// everything else runs locally and is journaled as it completes. A
-// payload that no longer decodes — version skew between the journal and
-// the binary — falls back to recomputation rather than failing the job.
-func (ck *Checkpoint) exec(id experiments.CellID, run func() ([]byte, error), inject func([]byte) error) error {
-	if inject != nil {
-		if payload, ok := ck.lookup(id); ok {
-			if err := inject(payload); err == nil {
-				ck.replayed()
-				return nil
-			}
-			ck.j.log.Warn("journaled cell payload no longer decodes; re-running",
-				"cell", id.String())
-		}
+	if _, stale := ck.have[id]; stale {
+		ck.j.log.Warn("journaled cell payload no longer decodes; re-ran it", "cell", id.String())
 	}
-	payload, err := run()
-	if err != nil {
-		return err
-	}
-	if payload != nil {
-		ck.recordCell(id, payload)
-	}
-	return nil
+	_ = ck.s.appendRecord(record{Type: "cell", Job: ck.j.id, Cell: &id, Payload: payload})
 }

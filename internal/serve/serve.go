@@ -200,7 +200,7 @@ func (s *Server) runSpec(ctx context.Context, sp Spec, prog *probe.Progress, ck 
 	var t *experiments.Table
 	var err error
 	if ck != nil {
-		t, err = experiments.RunWithCellExec(sp.Experiment, o, ck.exec)
+		t, err = experiments.RunWithCellExec(sp.Experiment, o, ck.wrap(experiments.LocalExec))
 	} else {
 		t, err = experiments.Run(sp.Experiment, o)
 	}
@@ -225,22 +225,9 @@ func (s *Server) runSpec(ctx context.Context, sp Spec, prog *probe.Progress, ck 
 //
 // The cell's payload comes from the journal checkpoint when this very
 // job completed the cell before a crash, and from a fresh simulation
-// otherwise. A journaled payload of the wrong slot type — written by an
-// older binary — fails the tag check on injection and the cell re-runs.
+// otherwise.
 func runCellSpec(sp Spec, o experiments.Options, ck *Checkpoint) (string, error) {
-	payload, err := experiments.RunCellExec(sp.Experiment, o, *sp.Cell,
-		func(id experiments.CellID, run func() ([]byte, error), inject func([]byte) error) error {
-			if p, ok := ck.lookup(id); ok && inject(p) == nil {
-				ck.replayed()
-				return nil
-			}
-			p, err := run()
-			if err != nil {
-				return err
-			}
-			ck.recordCell(id, p)
-			return nil
-		})
+	payload, err := experiments.RunCellExec(sp.Experiment, o, *sp.Cell, ck.wrap(experiments.LocalExec))
 	if err != nil {
 		return "", err
 	}

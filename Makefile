@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race allocs bench-long bench-smoke fuzz profile results serve-smoke fleet-smoke crash-smoke fleet-crash-smoke metrics-lint
+.PHONY: check fmt vet build test race allocs bench-long bench-smoke fuzz profile results serve-smoke fleet-smoke crash-smoke fleet-crash-smoke metrics-lint loc
 
 check: fmt vet build race allocs fuzz metrics-lint serve-smoke fleet-smoke crash-smoke fleet-crash-smoke bench-long bench-smoke
 
@@ -80,6 +80,11 @@ bench-smoke:
 # TestResultsDefaultCoversRegistry fails when a driver is missing.
 results:
 	$(GO) run ./cmd/diskthru -all -time >results_default.txt
+
+# Lines of non-test Go in the root package, internal/ and cmd/: the
+# size the ROADMAP tracks from change to change. Not part of check.
+loc:
+	@(ls *.go | grep -v _test.go; find internal cmd -name '*.go' ! -name '*_test.go') | xargs cat | wc -l
 
 # CPU and heap profiles of the Table 2 pipeline (the hottest full-system
 # path: all three workloads against both systems). Inspect with

@@ -30,11 +30,11 @@ var driverAllocs = []struct {
 	name   string
 	allocs float64
 }{
-	{"table2", 101714},
-	{"fig7", 106201},
-	{"longrun", 3009},
-	{"fig6", 54928},
-	{"ext-victim", 28754},
+	{"table2", 13899},
+	{"fig7", 17706},
+	{"longrun", 980},
+	{"fig6", 26816},
+	{"ext-victim", 10640},
 }
 
 // TestDriverAllocBudget fails when a driver allocates more than

@@ -8,6 +8,7 @@ package disk
 
 import (
 	"fmt"
+	"slices"
 
 	"diskthru/internal/bus"
 	"diskthru/internal/cache"
@@ -238,6 +239,13 @@ type Disk struct {
 	inflight      Request
 	inflightCount int
 
+	// onBus holds the writes crossing the bus toward the queue, oldest
+	// first; the pre-bound writeArrived event enqueues the oldest. The
+	// bus serves transfers in FIFO order, so this drive's writes arrive
+	// in the order they were submitted.
+	onBus        []Request
+	writeArrived sim.Event
+
 	// inj is the injected fault model (nil = faults off); attempt
 	// counts how many times the in-flight request's media access has
 	// failed so far.
@@ -290,6 +298,7 @@ func New(s *sim.Simulator, b *bus.Bus, id int, cfg Config) (*Disk, error) {
 	d.kick = func(sim.Time) { d.serviceNext() }
 	d.mediaDone = func(sim.Time) { d.finishMedia() }
 	d.retry = func(sim.Time) { d.startAttempt() }
+	d.writeArrived = func(sim.Time) { d.arriveWrite() }
 	d.inj = cfg.Injector
 	if cfg.Tracer != nil {
 		d.tr = cfg.Tracer
@@ -456,7 +465,8 @@ func (d *Disk) Submit(r Request) {
 			d.bus.Transfer(bytes, r.Done)
 			return
 		}
-		d.bus.Transfer(bytes, func(sim.Time) { d.enqueue(r) })
+		d.onBus = append(d.onBus, r)
+		d.bus.Transfer(bytes, d.writeArrived)
 		return
 	}
 
@@ -480,6 +490,15 @@ func (d *Disk) Submit(r Request) {
 		d.bus.Transfer(bytes, r.Done)
 		return
 	}
+	d.enqueue(r)
+}
+
+// arriveWrite queues the oldest write on the bus for the media. The
+// few writes behind it shift down in place, and Delete clears the
+// vacated slot's Done closure.
+func (d *Disk) arriveWrite() {
+	r := d.onBus[0]
+	d.onBus = slices.Delete(d.onBus, 0, 1)
 	d.enqueue(r)
 }
 

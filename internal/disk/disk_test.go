@@ -412,3 +412,30 @@ func TestReadAheadClampsAtDiskEnd(t *testing.T) {
 		t.Fatalf("MediaBlocks = %d, want 2 (clamped)", st.MediaBlocks)
 	}
 }
+
+// TestBusWritesAllocFree: a write that misses the pinned region crosses
+// the bus before it reaches the queue. Every write of a mixed workload
+// takes that path, so in steady state it must allocate nothing: the
+// drive keeps its writes on the bus in a reused FIFO behind one
+// pre-bound arrival event instead of a closure per write.
+func TestBusWritesAllocFree(t *testing.T) {
+	s, d := newDisk(t, baseConfig())
+	done := func(sim.Time) {}
+	pba := int64(1000)
+	burst := func() {
+		for i := 0; i < 16; i++ {
+			d.Submit(Request{PBA: pba, Blocks: 2, Write: true, Done: done})
+			pba += 5000
+		}
+		s.Run()
+	}
+	for i := 0; i < 4; i++ {
+		burst()
+	}
+	if avg := testing.AllocsPerRun(20, burst); avg > 0 {
+		t.Errorf("16 bus-crossing writes allocate %.1f times; want 0", avg)
+	}
+	if st := d.Stats(); st.Writes != 16*(4+21) || st.MediaOps != st.Writes {
+		t.Errorf("writes = %d, media ops = %d; want every write committed to media", st.Writes, st.MediaOps)
+	}
+}

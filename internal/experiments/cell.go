@@ -41,14 +41,12 @@ func (id CellID) String() string { return fmt.Sprintf("c%d", id.Index) }
 // CellExec dispatches one cell on behalf of RunWithCellExec. run
 // executes the cell locally on the calling goroutine and returns the
 // cell's encoded result slot — the same payload RunCell would produce —
-// or nil for cells with no transportable result, so a checkpointing
-// executor (internal/serve's journal) can persist locally-computed
-// cells without re-encoding. inject accepts a payload produced by
-// RunCell (or a previous run) for the same (experiment, Options, id)
-// and writes it into the cell's result slot; it is nil for cells that
-// are pure local computations with no transportable result — those must
-// be executed via run. Exactly one of run or inject must succeed before
-// CellExec returns nil; the runner fails the cell otherwise.
+// so a checkpointing executor (internal/serve's journal) can persist
+// locally-computed cells without re-encoding. inject accepts a payload
+// produced by RunCell (or a previous run) for the same (experiment,
+// Options, id) and writes it into the cell's result slot. Exactly one
+// of run or inject must succeed before CellExec returns nil; the runner
+// fails the cell otherwise.
 type CellExec func(id CellID, run func() ([]byte, error), inject func(payload []byte) error) error
 
 // LocalExec is the CellExec that runs every cell on the calling
@@ -66,10 +64,10 @@ func LocalExec(_ CellID, run func() ([]byte, error), _ func([]byte) error) error
 // checkpoint, so a caller journals fresh payloads and counts replays.
 // A fresh payload for a cell the checkpoint holds means the journaled
 // one no longer decodes (version skew): the cell was recomputed rather
-// than failed. Bare cells carry no payload and never reach sink.
+// than failed.
 func Checkpointed(exec CellExec, journaled map[CellID][]byte, sink func(id CellID, payload []byte, replayed bool)) CellExec {
 	return func(id CellID, run func() ([]byte, error), inject func([]byte) error) error {
-		if p, ok := journaled[id]; ok && inject != nil && inject(p) == nil {
+		if p, ok := journaled[id]; ok && inject(p) == nil {
 			sink(id, p, true)
 			return nil
 		}
@@ -81,15 +79,12 @@ func Checkpointed(exec CellExec, journaled map[CellID][]byte, sink func(id CellI
 			}
 			return p, err
 		}
-		var accept func([]byte) error
-		if inject != nil {
-			accept = func(p []byte) error {
-				if err := inject(p); err != nil {
-					return err
-				}
-				filled = p
-				return nil
+		accept := func(p []byte) error {
+			if err := inject(p); err != nil {
+				return err
 			}
+			filled = p
+			return nil
 		}
 		if err := exec(id, fresh, accept); err != nil {
 			return err
@@ -122,11 +117,6 @@ var errCellCaptured = errors.New("experiments: cell captured")
 // into one cell (see Degraded).
 var errWaitTwice = errors.New("experiments: driver waits twice under a cell session; fold dependent replays into one cell")
 
-// ErrCellNotRemotable marks cells whose result cannot be transported: a
-// bare computation writing driver-local state rather than a result
-// slot. Coordinators run such cells locally.
-var ErrCellNotRemotable = errors.New("experiments: cell is not remotable")
-
 // resultPair is the slot of a cell that runs two dependent replays, the
 // second configured from the first's result.
 type resultPair struct {
@@ -141,9 +131,10 @@ const (
 	tagResult     = 'R'
 	tagLiveResult = 'L'
 	tagResultPair = 'P'
+	tagValues     = 'V'
 )
 
-// slotTag returns the payload tag of a remotable slot.
+// slotTag returns the payload tag of a cell's result slot.
 func slotTag(slot any) (byte, error) {
 	switch slot.(type) {
 	case *diskthru.Result:
@@ -152,8 +143,10 @@ func slotTag(slot any) (byte, error) {
 		return tagLiveResult, nil
 	case *resultPair:
 		return tagResultPair, nil
+	case *[]float64:
+		return tagValues, nil
 	}
-	return 0, fmt.Errorf("%w (slot type %T)", ErrCellNotRemotable, slot)
+	return 0, fmt.Errorf("experiments: no payload tag for slot type %T", slot)
 }
 
 // encodeSlot serializes one cell's result slot.

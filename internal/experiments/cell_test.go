@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -10,18 +11,14 @@ import (
 )
 
 // remoteShim is a CellExec that simulates fleet execution in-process:
-// every remotable cell is re-derived from scratch through RunCell —
-// exactly what a daemon does for a cell job — and its payload injected;
-// bare cells fall back to local execution. No state is shared with the
-// driving invocation besides the payload bytes, so a passing test
-// proves the wire decomposition alone reproduces the table.
+// every cell is re-derived from scratch through RunCell — exactly what
+// a daemon does for a cell job — and its payload injected. No state is
+// shared with the driving invocation besides the payload bytes, so a
+// passing test proves the wire decomposition alone reproduces the
+// table.
 func remoteShim(t *testing.T, name string, o Options) CellExec {
 	t.Helper()
-	return func(id CellID, run func() ([]byte, error), inject func([]byte) error) error {
-		if inject == nil {
-			_, err := run()
-			return err
-		}
+	return func(id CellID, _ func() ([]byte, error), inject func([]byte) error) error {
 		payload, err := RunCell(name, o, id)
 		if err != nil {
 			return err
@@ -35,14 +32,15 @@ func remoteShim(t *testing.T, name string, o Options) CellExec {
 // tables to match a plain local run byte for byte:
 //
 //   - table2: the fleet acceptance sweep (multi-workload compare cells)
-//   - fig2:   bare computation cells (not remotable, local fallback)
+//   - fig1, fig2: computed values rather than replays ([]float64 payloads)
+//   - model-vs-sim: replay cells and one value cell in one driver
 //   - ext-victim: RunLive cells (LiveResult slot payloads)
 //   - degraded: two dependent replays per cell (resultPair payloads)
 func TestCellExecByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-runs experiments cell by cell")
 	}
-	for _, name := range []string{"table2", "fig2", "ext-victim", "degraded"} {
+	for _, name := range []string{"table2", "fig1", "fig2", "model-vs-sim", "ext-victim", "degraded"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -65,7 +63,9 @@ func TestCellExecByteIdentical(t *testing.T) {
 }
 
 // TestRunCellErrors pins the failure modes a coordinator depends on:
-// unknown cells fail loudly instead of returning an empty payload.
+// unknown cells fail loudly instead of returning an empty payload, and
+// a computed-values cell (fig2's per-server access counts) travels like
+// any replay cell.
 func TestRunCellErrors(t *testing.T) {
 	o := Quick()
 	if _, err := RunCell("table2", o, CellID{Index: 999}); err == nil ||
@@ -75,8 +75,13 @@ func TestRunCellErrors(t *testing.T) {
 	if _, err := RunCell("table2", o, CellID{Index: -1}); err == nil {
 		t.Error("negative index accepted")
 	}
-	if _, err := RunCell("fig2", o, CellID{Index: 0}); !errors.Is(err, ErrCellNotRemotable) {
-		t.Errorf("bare computation cell: err = %v, want ErrCellNotRemotable", err)
+	payload, err := RunCell("fig2", o, CellID{Index: 0})
+	if err != nil {
+		t.Fatalf("fig2 cell: %v", err)
+	}
+	var counts []float64
+	if err := decodeSlot(payload, &counts); err != nil || len(counts) < 3 || counts[0] <= 0 {
+		t.Errorf("fig2 cell payload decoded to %v, %v; want the distinct-block count, accesses and rank counts", counts, err)
 	}
 	if _, err := RunCell("nope", o, CellID{}); err == nil {
 		t.Error("unknown experiment accepted")
@@ -116,8 +121,11 @@ func TestDecodeSlotTagMismatch(t *testing.T) {
 	if err := decodeSlot(nil, new(diskthru.LiveResult)); err == nil {
 		t.Error("empty payload decoded")
 	}
-	if err := decodeSlot(payload, &struct{}{}); !errors.Is(err, ErrCellNotRemotable) {
-		t.Errorf("bad slot type: err = %v, want ErrCellNotRemotable", err)
+	if err := decodeSlot(payload, new([]float64)); err == nil {
+		t.Error("Result payload decoded into a values slot")
+	}
+	if err := decodeSlot(payload, &struct{}{}); err == nil {
+		t.Error("payload decoded into an untagged slot type")
 	}
 }
 
@@ -125,23 +133,26 @@ func TestDecodeSlotTagMismatch(t *testing.T) {
 // planned after the first batch finished, the shape a cell session
 // cannot reproduce from a cell index alone.
 func twoWaits(o Options) (*Table, error) {
+	none := func() ([]float64, error) { return nil, nil }
 	first := newRunner(o)
-	first.add(func() error { return nil })
+	first.values(none)
 	if err := first.wait(); err != nil {
 		return nil, err
 	}
 	second := newRunner(o)
-	second.add(func() error { return nil })
+	second.values(none)
 	if err := second.wait(); err != nil {
 		return nil, err
 	}
 	return &Table{ID: "two-waits"}, nil
 }
 
-// TestCellSessionRejectsSecondWait: a driver that waits twice under a
-// cell session fails loudly instead of silently replaying its first
-// batch; outside a session it still runs. The driver is called directly
-// rather than registered, so registry-wide tests never see it.
+// TestCellSessionRejectsSecondWait: a driver that waits twice under one
+// cell session — every entry point opens one — fails loudly instead of
+// silently replaying its first batch; called without one, each runner
+// routes through a session of its own and it still runs. The driver is
+// called directly rather than registered, so registry-wide tests never
+// see it.
 func TestCellSessionRejectsSecondWait(t *testing.T) {
 	if _, err := twoWaits(tiny()); err != nil {
 		t.Fatalf("plain run: %v", err)
@@ -229,7 +240,7 @@ func TestCheckpointed(t *testing.T) {
 }
 
 // FuzzDecodeSlot feeds arbitrary bytes — the shape of a payload from a
-// remote daemon or a damaged journal — into every remotable slot type.
+// remote daemon or a damaged journal — into every slot type.
 // Decoding must never panic, and a payload whose tag does not name the
 // slot's type must be refused before gob sees it.
 func FuzzDecodeSlot(f *testing.F) {
@@ -237,6 +248,7 @@ func FuzzDecodeSlot(f *testing.F) {
 		&diskthru.Result{IOTime: 1.5, Requests: 3},
 		&diskthru.LiveResult{},
 		&resultPair{First: diskthru.Result{IOTime: 2}, Second: diskthru.Result{IOTime: 3}},
+		&[]float64{300000, 1.5e6, math.NaN()},
 	} {
 		payload, err := encodeSlot(slot)
 		if err != nil {
@@ -246,9 +258,10 @@ func FuzzDecodeSlot(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{tagResultPair})
+	f.Add([]byte{tagValues})
 	f.Add([]byte("R\x00\xff"))
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		for _, slot := range []any{new(diskthru.Result), new(diskthru.LiveResult), new(resultPair)} {
+		for _, slot := range []any{new(diskthru.Result), new(diskthru.LiveResult), new(resultPair), new([]float64)} {
 			want, err := slotTag(slot)
 			if err != nil {
 				t.Fatal(err)

@@ -478,8 +478,7 @@ func ModelVsSim(o Options) (*Table, error) {
 	forr := r.run(wr, cfg.WithSystem(diskthru.FOR))
 	// The 4-KB measurement deliberately swallows errors into NaN, so it
 	// stays one cell rather than decomposing into error-carrying runs.
-	ratio4 := new(float64)
-	r.add(func() error { *ratio4 = perOpRatioFor4KB(o); return nil })
+	ratio4 := r.values(func() ([]float64, error) { return []float64{perOpRatioFor4KB(o)}, nil })
 	if err := r.wait(); err != nil {
 		return nil, err
 	}
@@ -495,7 +494,7 @@ func ModelVsSim(o Options) (*Table, error) {
 	t.AddRow("FOR/Segm per-op ratio", model.FORSpeedupBound(g, 4, 32), perOp(forr)/perOp(segm))
 	t.AddRow("utilization reduction (4KB files)",
 		model.UtilizationReduction(g, 1, 32),
-		1-*ratio4)
+		1-(*ratio4)[0])
 	t.Note("model per-op ratios exclude command overhead and LOOK shortening; simulated values measured at one outstanding op per disk")
 	return t, nil
 }

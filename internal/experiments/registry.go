@@ -79,12 +79,8 @@ func Lookup(name string) (Func, error) {
 	return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", name, sortedNames)
 }
 
-// Run executes one experiment by name.
+// Run executes one experiment by name, every cell on the local worker
+// pool.
 func Run(name string, o Options) (*Table, error) {
-	fn, err := Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	o.initWarm(name)
-	return fn(o)
+	return RunWithCellExec(name, o, LocalExec)
 }

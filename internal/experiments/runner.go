@@ -20,24 +20,23 @@ import (
 // and therefore the assembled tables — are byte-identical at any
 // parallelism.
 //
-// When Options carries a cell session (RunCellExec / RunWithCellExec
-// in cell.go), wait additionally knows each cell's result slot, so a
-// cell can run on another machine and have its slot filled by wire
-// payload instead of local execution.
+// Every cell is routed through the invocation's cell session
+// (RunCellExec / RunWithCellExec in cell.go; a plain run routes through
+// LocalExec), and wait knows each cell's result slot, so any cell can
+// run on another machine and have its slot filled by wire payload
+// instead of local execution.
 type runner struct {
 	par   int
 	ctx   context.Context // never nil; Background when Options.Ctx is unset
 	prog  *probe.Progress // nil-safe; reports cell plan + completions
-	sess  *cellSession    // nil outside RunCellExec / RunWithCellExec
+	sess  *cellSession
 	cells []cellEntry
 }
 
-// cellEntry is one cell plus the metadata remote execution needs: the
-// result slot its closure writes (nil for bare computations, which are
-// not remotable).
+// cellEntry is one cell plus the result slot its closure writes.
 type cellEntry struct {
 	fn   func() error
-	slot any // *diskthru.Result, *diskthru.LiveResult, *resultPair, or nil
+	slot any // *diskthru.Result, *diskthru.LiveResult, *resultPair or *[]float64
 }
 
 func newRunner(o Options) *runner {
@@ -45,20 +44,34 @@ func newRunner(o Options) *runner {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &runner{par: o.parallelism(), ctx: ctx, prog: o.Progress, sess: o.cells}
+	sess := o.cells
+	if sess == nil {
+		sess = &cellSession{exec: LocalExec}
+	}
+	return &runner{par: o.parallelism(), ctx: ctx, prog: o.Progress, sess: sess}
 }
 
-// add appends one bare-computation cell. Cells must not read other
-// cells' slots and must not mutate anything shared except through a
-// workloadRef.
-func (r *runner) add(fn func() error) {
-	r.cells = append(r.cells, cellEntry{fn: fn})
-}
-
-// addSlot appends a cell whose entire observable result lands in slot,
-// making it eligible for remote execution.
+// addSlot appends a cell whose entire observable result lands in slot.
+// Cells must not read other cells' slots and must not mutate anything
+// shared except through a workloadRef.
 func (r *runner) addSlot(fn func() error, slot any) {
 	r.cells = append(r.cells, cellEntry{fn: fn, slot: slot})
+}
+
+// values appends a cell computing plain numbers rather than a replay
+// result, and returns the slot they land in. Read the slot only after
+// wait returns nil.
+func (r *runner) values(fn func() ([]float64, error)) *[]float64 {
+	res := new([]float64)
+	r.addSlot(func() error {
+		v, err := fn()
+		if err != nil {
+			return err
+		}
+		*res = v
+		return nil
+	}, res)
+	return res
 }
 
 // workloadRef builds a workload lazily, exactly once, for the cells that
@@ -183,62 +196,39 @@ func (r *runner) runLive(wr *workloadRef, cfg diskthru.Config, opts diskthru.Liv
 	return res
 }
 
-// cell runs cell i, first honoring the runner's context so a cancelled
-// experiment stops between cells even when the cells themselves are
-// pure computations that never consult it.
-func (r *runner) cell(i int) error {
-	if err := r.ctx.Err(); err != nil {
-		return err
-	}
-	if err := r.cells[i].fn(); err != nil {
-		return err
-	}
-	r.prog.CellDone()
-	return nil
-}
-
 // route passes cell i through the session's CellExec and returns its
 // encoded slot: the payload run produced or the one inject accepted,
-// nil for bare cells. Bare cells get no inject callback, so they always
-// run locally. An exec that returns nil without either callback having
+// never empty. An exec that returns nil without either callback having
 // succeeded broke the CellExec contract and would leave a zero slot in
-// the table, so route refuses it.
+// the table, so route refuses it. The context is checked first, so a cancelled
+// experiment stops between cells even when the cells themselves are
+// pure computations that never consult it.
 func (r *runner) route(i int) ([]byte, error) {
 	if err := r.ctx.Err(); err != nil {
 		return nil, err
 	}
 	e := r.cells[i]
-	var (
-		payload []byte
-		filled  bool
-	)
+	var payload []byte // set once run or inject fills the slot
 	run := func() ([]byte, error) {
 		if err := e.fn(); err != nil {
 			return nil, err
 		}
-		if e.slot == nil {
-			filled = true
-			return nil, nil
-		}
 		p, err := encodeSlot(e.slot)
-		payload, filled = p, err == nil
+		payload = p // nil on error
 		return p, err
 	}
-	var inject func([]byte) error
-	if e.slot != nil {
-		inject = func(p []byte) error {
-			if err := decodeSlot(p, e.slot); err != nil {
-				return err
-			}
-			payload, filled = p, true
-			return nil
+	inject := func(p []byte) error {
+		if err := decodeSlot(p, e.slot); err != nil {
+			return err
 		}
+		payload = p
+		return nil
 	}
 	id := CellID{Index: i}
 	if err := r.sess.exec(id, run, inject); err != nil {
 		return nil, err
 	}
-	if !filled {
+	if payload == nil {
 		return nil, fmt.Errorf("experiments: CellExec returned nil for cell %v without running or injecting it", id)
 	}
 	r.prog.CellDone()
@@ -250,9 +240,6 @@ func (r *runner) route(i int) ([]byte, error) {
 func (r *runner) capture(id CellID) error {
 	if id.Index >= len(r.cells) {
 		return fmt.Errorf("experiments: %d cells, no index %d", len(r.cells), id.Index)
-	}
-	if r.cells[id.Index].slot == nil {
-		return fmt.Errorf("%w (cell %v)", ErrCellNotRemotable, id)
 	}
 	payload, err := r.route(id.Index)
 	if err != nil {
@@ -272,30 +259,26 @@ func (r *runner) capture(id CellID) error {
 // any set of already-started cells. A cancelled Options.Ctx surfaces
 // here as the first error of whichever cell observed it.
 //
-// Under a cell session wait may run only once (see errWaitTwice). In
+// wait may run only once per cell session (see errWaitTwice). In
 // capture mode (RunCellExec) it routes only the target cell and aborts
-// the driver with errCellCaptured; in exec mode (RunWithCellExec) every
-// cell is routed through the session's CellExec instead of running
-// locally.
+// the driver with errCellCaptured; otherwise every cell is routed
+// through the session's CellExec.
 func (r *runner) wait() error {
 	n := len(r.cells)
 	// The cell plan is known only now (drivers append cells up to this
 	// point), so this is where the progress tracker learns the
-	// denominator; completions then stream in from cell.
+	// denominator; completions then stream in from route.
 	r.prog.AddCells(n)
-	exec := r.cell
-	if r.sess != nil {
-		if r.sess.waited {
-			return errWaitTwice
-		}
-		r.sess.waited = true
-		if r.sess.target != nil {
-			return r.capture(*r.sess.target)
-		}
-		exec = func(i int) error {
-			_, err := r.route(i)
-			return err
-		}
+	if r.sess.waited {
+		return errWaitTwice
+	}
+	r.sess.waited = true
+	if r.sess.target != nil {
+		return r.capture(*r.sess.target)
+	}
+	exec := func(i int) error {
+		_, err := r.route(i)
+		return err
 	}
 	par := r.par
 	if par > n {

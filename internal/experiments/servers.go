@@ -93,49 +93,53 @@ func Fig2(o Options) (*Table, error) {
 		XLabel:  "rank",
 		Columns: []string{"Web", "Proxy", "File", "zipf(.43)"},
 	}
-	var counts [3][]int
-	var totals [3]int
+	// Each cell reduces its trace to what the table reads: the number
+	// of distinct blocks counted, the accesses they received, and the
+	// count at each rank (NaN past the last block).
+	ranks := []int{1, 2, 5, 10, 30, 100, 300, 1000, 3000, 10000, 30000, 100000, 300000}
 	r := newRunner(o)
+	var cells [3]*[]float64
 	for i, k := range []serverKind{webServer, proxyServer, fileServer} {
-		i, k := i, k
-		r.add(func() error {
+		cells[i] = r.values(func() ([]float64, error) {
 			w, err := buildServer(k, o)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			counts[i] = w.BlockAccessCounts(300000)
-			for _, c := range counts[i] {
-				totals[i] += c
+			counts := w.BlockAccessCounts(ranks[len(ranks)-1])
+			v := []float64{float64(len(counts)), 0}
+			for _, c := range counts {
+				v[1] += float64(c)
 			}
-			return nil
+			for _, rank := range ranks {
+				if rank > len(counts) {
+					v = append(v, math.NaN())
+				} else {
+					v = append(v, float64(counts[rank-1]))
+				}
+			}
+			return v, nil
 		})
 	}
 	if err := r.wait(); err != nil {
 		return nil, err
 	}
+	web, proxy, file := *cells[0], *cells[1], *cells[2]
 	// Zipf reference sized to the web trace's volume.
-	nBlocks := len(counts[0])
+	nBlocks := int(web[0])
 	if nBlocks == 0 {
 		return nil, fmt.Errorf("experiments: empty web trace")
 	}
 	z := dist.NewZipf(nBlocks, 0.43)
-	ranks := []int{1, 2, 5, 10, 30, 100, 300, 1000, 3000, 10000, 30000, 100000, 300000}
-	at := func(c []int, rank int) float64 {
-		if rank > len(c) {
-			return math.NaN()
-		}
-		return float64(c[rank-1])
-	}
-	for _, r := range ranks {
-		if r > nBlocks && r > len(counts[1]) && r > len(counts[2]) {
-			break
+	for j, rank := range ranks {
+		w, p, f := web[2+j], proxy[2+j], file[2+j]
+		if math.IsNaN(w) && math.IsNaN(p) && math.IsNaN(f) {
+			break // past every trace's last block
 		}
 		zref := math.NaN()
-		if r <= nBlocks {
-			zref = z.P(r-1) * float64(totals[0])
+		if rank <= nBlocks {
+			zref = z.P(rank-1) * web[1]
 		}
-		t.AddRow(fmt.Sprintf("%d", r),
-			at(counts[0], r), at(counts[1], r), at(counts[2], r), zref)
+		t.AddRow(fmt.Sprintf("%d", rank), w, p, f, zref)
 	}
 	t.Note("paper: residual (post-buffer-cache) popularity approximates a Zipf with alpha=0.43; hottest blocks see ~78-90 accesses at full scale")
 	return t, nil

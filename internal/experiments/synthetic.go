@@ -36,23 +36,19 @@ func Fig1(o Options) (*Table, error) {
 		frags = append(frags, frag)
 	}
 	r := newRunner(o)
-	values := make([][]float64, len(frags))
+	cells := make([][]*[]float64, len(frags))
 	for fi, frag := range frags {
-		frag := frag
-		values[fi] = make([]float64, len(sizes))
+		cells[fi] = make([]*[]float64, len(sizes))
 		for i, size := range sizes {
-			i, size := i, size
-			row := values[fi]
-			r.add(func() error {
+			cells[fi][i] = r.values(func() ([]float64, error) {
 				l := fslayout.New(int64(filesPerPoint*size)*6 + 64)
 				rng := dist.NewRand(1000 + o.Seed + int64(size))
 				for f := 0; f < filesPerPoint; f++ {
 					if _, err := l.Alloc(size, frag, rng); err != nil {
-						return err
+						return nil, err
 					}
 				}
-				row[i] = l.AvgSequentialRun()
-				return nil
+				return []float64{l.AvgSequentialRun()}, nil
 			})
 		}
 	}
@@ -60,7 +56,11 @@ func Fig1(o Options) (*Table, error) {
 		return nil, err
 	}
 	for fi, frag := range frags {
-		t.AddRow(fmt.Sprintf("%.1f", frag*100), values[fi]...)
+		row := make([]float64, len(sizes))
+		for i, c := range cells[fi] {
+			row[i] = (*c)[0]
+		}
+		t.AddRow(fmt.Sprintf("%.1f", frag*100), row...)
 	}
 	t.Note("closed form: n/(1+(n-1)p); 32 blks @ 5%% -> %.1f (paper: ~12)",
 		fslayout.ExpectedRun(32, 0.05))

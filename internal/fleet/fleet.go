@@ -31,8 +31,10 @@
 //     exponential backoff with full jitter. A cell's attempts run one
 //     after another, and each abandoned attempt is cancelled before the
 //     next starts, so at most one result per cell is ever injected.
-//     With zero healthy daemons the coordinator degrades to executing
-//     cells locally rather than failing the sweep (disable with
+//     Every cell is remotable. A cell that exhausts its remote attempts
+//     (with zero healthy daemons, say) is executed on the coordinator
+//     rather than failing the sweep, and only those fallbacks count in
+//     fleet_cells_local_total (disable with
 //     Config.DisableLocalFallback).
 //
 // Observability follows internal/serve: counters and per-daemon gauges
@@ -279,7 +281,7 @@ func (c *Coordinator) initMetrics() {
 	c.completed = c.reg.NewCounter("fleet_cells_completed_total",
 		"Cells whose remote result was injected into the sweep.")
 	c.local = c.reg.NewCounter("fleet_cells_local_total",
-		"Cells executed on the coordinator: non-remotable cells plus remote-attempt exhaustion fallbacks.")
+		"Cells executed on the coordinator after exhausting their remote attempts.")
 	c.resumedC = c.reg.NewCounter("fleet_cells_resumed_total",
 		"Cells injected from the coordinator's journal instead of dispatched (crash-resume path).")
 	for _, d := range c.daemons {
@@ -533,19 +535,11 @@ func (c *Coordinator) acquire(ctx context.Context, id experiments.CellID, patien
 }
 
 // execCell is the dispatch loop for one cell, behind the sweep's
-// checkpoint. Bare (non-remotable) cells run locally; remotable cells
-// are dispatched with stealing, backpressure and failover as described
-// in the package comment. Attempts run one after another and each
-// abandoned one is cancelled first, so only one result is injected.
+// checkpoint: the cell is dispatched with stealing, backpressure and
+// failover as described in the package comment. Attempts run one after
+// another and each abandoned one is cancelled first, so only one result
+// is injected.
 func (c *Coordinator) execCell(id experiments.CellID, run func() ([]byte, error), inject func([]byte) error) error {
-	if inject == nil {
-		// Bare computation cells are not remotable and carry no
-		// transportable payload, so they cannot be journaled either;
-		// they re-run on resume, which is cheap by construction.
-		c.local.Inc()
-		_, err := run()
-		return err
-	}
 	ctx := c.opts.Ctx
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {

@@ -60,28 +60,31 @@ func quick1() experiments.Options {
 	return o
 }
 
-// TestFleetByteIdentical is the acceptance sweep: table2 across three
-// healthy daemons must render byte-identically to the single-node
-// serial run.
+// TestFleetByteIdentical is the acceptance sweep: table2 (replay
+// cells) and fig2 (computed-values cells) across three healthy daemons
+// must render byte-identically to the single-node serial run, with no
+// cell run on the coordinator.
 func TestFleetByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs table2 twice")
-	}
-	want, err := experiments.Run("table2", quick1())
-	if err != nil {
-		t.Fatal(err)
+		t.Skip("runs table2 and fig2 twice")
 	}
 	c, err := New(Config{Endpoints: bootDaemons(t, 3, nil), Window: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Run(context.Background(), "table2", experiments.Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != want.String() {
-		t.Errorf("fleet table differs from single-node run:\n--- single ---\n%s--- fleet ---\n%s",
-			want, got)
+	for _, name := range []string{"table2", "fig2"} {
+		want, err := experiments.Run(name, quick1())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Run(context.Background(), name, experiments.Quick())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s: fleet table differs from single-node run:\n--- single ---\n%s--- fleet ---\n%s",
+				name, want, got)
+		}
 	}
 	if v := c.completed.Value(); v == 0 {
 		t.Error("no cells completed remotely")

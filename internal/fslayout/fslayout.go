@@ -147,6 +147,18 @@ func (l *Layout) Alloc(blocks int, fragProb float64, rng *rand.Rand) (int, error
 	return int(id), nil
 }
 
+// Reserve sizes the tables for files more unfragmented files of blocks
+// blocks each, spread round-robin over the groups, so a caller that
+// knows its layout up front builds it without regrowing the tables.
+func (l *Layout) Reserve(files, blocks int) {
+	l.blocks = slices.Grow(l.blocks, files*blocks)
+	l.fileEnds = slices.Grow(l.fileEnds, files)
+	perGroup := (files + len(l.owners) - 1) / len(l.owners) * blocks
+	for g := range l.owners {
+		l.owners[g] = slices.Grow(l.owners[g], perGroup)
+	}
+}
+
 // pickGroup returns the next round-robin group with room for need
 // blocks, scanning all groups before giving up.
 func (l *Layout) pickGroup(need int64) (int, bool) {

@@ -1,6 +1,7 @@
 package fslayout
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -262,5 +263,36 @@ func TestOwnerExhaustive(t *testing.T) {
 	check("full")
 	if _, _, ok := l.Owner(volume - 1); !ok {
 		t.Fatal("the last group's remainder was never allocated")
+	}
+}
+
+// TestReserveSizesTablesOnce: after Reserve, allocating the reserved
+// unfragmented files grows no table, and the layout is the one an
+// unreserved allocator builds.
+func TestReserveSizesTablesOnce(t *testing.T) {
+	const files, blocks = 1000, 4
+	plain := NewGrouped(1<<20, 16)
+	for i := 0; i < 2*files; i++ {
+		if _, err := plain.Alloc(blocks, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l := NewGrouped(1<<20, 16)
+	// AllocsPerRun runs the loop twice: a warm-up, then the measured run.
+	l.Reserve(2*files, blocks)
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < files; i++ {
+			if _, err := l.Alloc(blocks, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("allocating %d reserved files allocated %.0f times; want 0", files, allocs)
+	}
+	for id := 0; id < 2*files; id++ {
+		if got, want := l.FileBlocks(id), plain.FileBlocks(id); !slices.Equal(got, want) {
+			t.Fatalf("file %d at %v, unreserved at %v", id, got, want)
+		}
 	}
 }

@@ -169,31 +169,36 @@ func TestRecoveryRestoresTerminalJobs(t *testing.T) {
 // journal holding a job's submission and most of its completed cells is
 // replayed by a fresh daemon with the real runner; only the missing
 // cells re-run, and the recovered result is byte-identical to an
-// uninterrupted `diskthru -experiment faults -quick -j 1`.
+// uninterrupted `diskthru -experiment <name> -quick -j 1`. faults
+// checkpoints replay cells; fig2 checkpoints computed-values cells.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the faults experiment twice")
+		t.Skip("runs each experiment twice")
 	}
+	for _, name := range []string{"faults", "fig2"} {
+		t.Run(name, func(t *testing.T) { checkpointResume(t, name) })
+	}
+}
+
+func checkpointResume(t *testing.T, name string) {
 	opts := func() experiments.Options {
 		o := experiments.Quick()
 		o.Parallelism = 1
 		return o
 	}
-	// Reference run, harvesting every remotable cell's payload the same
-	// way a journal-enabled daemon would have persisted them.
+	// Reference run, harvesting every cell's payload the same way a
+	// journal-enabled daemon would have persisted them.
 	type cell struct {
 		id      experiments.CellID
 		payload []byte
 	}
 	var cells []cell
-	table, err := experiments.RunWithCellExec("faults", opts(), func(id experiments.CellID, run func() ([]byte, error), _ func([]byte) error) error {
+	table, err := experiments.RunWithCellExec(name, opts(), func(id experiments.CellID, run func() ([]byte, error), _ func([]byte) error) error {
 		payload, err := run()
 		if err != nil {
 			return err
 		}
-		if payload != nil {
-			cells = append(cells, cell{id, payload}) // Parallelism 1: no race
-		}
+		cells = append(cells, cell{id, payload}) // Parallelism 1: no race
 		return nil
 	})
 	if err != nil {
@@ -202,12 +207,12 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	var want strings.Builder
 	table.Format(&want)
 	if len(cells) < 2 {
-		t.Fatalf("faults produced %d checkpointable cells; need >= 2 for a partial checkpoint", len(cells))
+		t.Fatalf("%s produced %d checkpointable cells; need >= 2 for a partial checkpoint", name, len(cells))
 	}
 
 	// The journal a crashed daemon would leave: the job admitted,
 	// started, and all but the last cell completed.
-	spec := Spec{Experiment: "faults", Quick: true, Parallelism: 1}
+	spec := Spec{Experiment: name, Quick: true, Parallelism: 1}
 	submitted := time.Now().Add(-time.Minute).Round(0)
 	recs := []record{
 		{Type: "submit", Job: "j000001", Spec: &spec, SubmittedAt: submitted},

@@ -183,12 +183,11 @@ func New(cfg Config) (*Server, error) {
 
 // runSpec is the production runner: the same registry, options and
 // rendering the CLI uses, so a job's result is byte-identical to
-// `diskthru -experiment <name>` at the same scale and seed. With a
-// checkpoint (journal-enabled daemon), the experiment is driven cell by
-// cell through experiments.RunWithCellExec so completed cells persist
-// as they finish and journaled ones are injected instead of re-run —
-// the cell decomposition is proven byte-identical to a plain run.
-// Every job builds its workloads through the daemon's scope cache.
+// `diskthru -experiment <name>` at the same scale and seed. The
+// experiment is driven cell by cell through experiments.RunWithCellExec;
+// with a checkpoint (journal-enabled daemon) completed cells persist as
+// they finish and journaled ones are injected instead of re-run. Every
+// job builds its workloads through the daemon's scope cache.
 func (s *Server) runSpec(ctx context.Context, sp Spec, prog *probe.Progress, ck *Checkpoint) (string, error) {
 	o := sp.options()
 	o.Ctx = ctx
@@ -197,13 +196,7 @@ func (s *Server) runSpec(ctx context.Context, sp Spec, prog *probe.Progress, ck 
 	if sp.Cell != nil {
 		return runCellSpec(sp, o, ck)
 	}
-	var t *experiments.Table
-	var err error
-	if ck != nil {
-		t, err = experiments.RunWithCellExec(sp.Experiment, o, ck.wrap(experiments.LocalExec))
-	} else {
-		t, err = experiments.Run(sp.Experiment, o)
-	}
+	t, err := experiments.RunWithCellExec(sp.Experiment, o, ck.wrap(experiments.LocalExec))
 	if err != nil {
 		return "", err
 	}

@@ -179,6 +179,12 @@ func Synthetic(cfg SyntheticConfig) (*Workload, error) {
 // spread over the volume.
 func layoutUniformFiles(count, fileBlocks int, volume int64, fragProb float64, rng *rand.Rand) (*fslayout.Layout, error) {
 	layout := fslayout.NewGrouped(volume, DefaultGroups)
+	if fragProb == 0 {
+		// Without holes the tables' final sizes are known: one
+		// allocation each instead of a doubling series, which keeps
+		// set-up clear of a garbage collection.
+		layout.Reserve(count, fileBlocks)
+	}
 	for i := 0; i < count; i++ {
 		if _, err := layout.Alloc(fileBlocks, fragProb, rng); err != nil {
 			return nil, err
